@@ -14,7 +14,8 @@ running-mean reward estimates exactly like the reinforced walk:
     estimated reward, ties broken toward the lowest node id. Default
     schedule eps_n = 1/n.
 
-Runs reuse the walk module's Trajectory/CSV format. The recorded `alpha`
+Runs go through the walk module's batched engine and reuse its
+Trajectory/CSV format. The recorded `alpha`
 column holds 1/T_n for annealing and 0 for epsilon-greedy; the `eps` column
 holds 0 for annealing and eps_n for epsilon-greedy. Randomness follows the
 same [init, select, noise] stream protocol as the reinforced walk: one
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .walk import (RewardModel, Trajectory, WalkRng, _resolve_starts,
-                   _sample_rows, _BLOCK)
+from .walk import (RewardModel, Trajectory, WalkRng, _run_engine,
+                   _sample_rows, observe_and_update_mean)
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,8 @@ class SAConfig:
     gamma: float = 0.1  # temperature scale, T_n = gamma / log(1 + n)
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -129,13 +130,6 @@ def sa_transition_row(state: SAState, g: Graph) -> np.ndarray:
                     state.temp)[0]
 
 
-def _observe(mu_hat, counts, rows, sel, rm: RewardModel, z):
-    obs = rm.mu[sel] + rm.noise_std * z
-    counts[rows, sel] += 1
-    mu_hat[rows, sel] += (obs - mu_hat[rows, sel]) / counts[rows, sel]
-    return obs
-
-
 def sa_step(state: SAState, g: Graph, rm: RewardModel, cfg: SAConfig,
             rng: WalkRng) -> SAState:
     """One annealing move; observes the reward of the node moved to."""
@@ -143,9 +137,8 @@ def sa_step(state: SAState, g: Graph, rm: RewardModel, cfg: SAConfig,
     p = _sa_rows(state.mu_hat[None, :], np.array([state.current]), g, state.temp)
     u = np.array([rng.select.random()])
     sel = int(_sample_rows(p, u)[0])
-    z = np.array([rng.noise.standard_normal()])
-    _observe(state.mu_hat[None, :], state.counts[None, :], np.array([0]),
-             np.array([sel]), rm, z)
+    state.counts[sel] += 1
+    observe_and_update_mean(state, sel, rm, rng)
     state.current = sel
     state.n += 1
     return state
@@ -159,91 +152,33 @@ def greedy_step(state: GreedyState, g: Graph, rm: RewardModel,
                      state.eps)
     u = np.array([rng.select.random()])
     sel = int(_sample_rows(p, u)[0])
-    z = np.array([rng.noise.standard_normal()])
-    _observe(state.mu_hat[None, :], state.counts[None, :], np.array([0]),
-             np.array([sel]), rm, z)
+    state.counts[sel] += 1
+    observe_and_update_mean(state, sel, rm, rng)
     state.current = sel
     state.n += 1
     return state
 
 
-def _run_baseline_batch(algo: str, g: Graph, rm: RewardModel, cfg,
-                        n_steps: int, seeds, record_stride: int,
-                        start) -> list[Trajectory]:
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
-    seeds = [int(s) for s in seeds]
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
-    if rm.mu.size != g.m:
-        raise ValueError("reward vector length != node count")
-
-    rngs = [WalkRng(s) for s in seeds]
-    R, m = len(seeds), g.m
-    cur = _resolve_starts(g, start, rngs)
-    S = np.zeros((R, m), dtype=np.int64)
-    mu_hat = np.zeros((R, m))
-    rows = np.arange(R)
-    U = np.empty((R, _BLOCK))
-    Z = np.empty((R, _BLOCK))
-
-    snaps_n, snaps_node, snaps_x, snaps_eps, snaps_alpha = [], [], [], [], []
-
-    def snap(n, eps_rec, alpha_rec):
-        snaps_n.append(n)
-        snaps_node.append(cur.copy())
-        x = S / n if n > 0 else np.full((R, m), 1.0 / m)
-        snaps_x.append(x)
-        snaps_eps.append(eps_rec)
-        snaps_alpha.append(alpha_rec)
-
-    snap(0, 0.0, 0.0)
-    for t in range(n_steps):
-        k = t % _BLOCK
-        if k == 0:
-            for r in range(R):
-                rngs[r].select.random(out=U[r])
-                rngs[r].noise.standard_normal(out=Z[r])
-
-        n_next = t + 1
-        if algo == "sa":
-            temp = sa_temperature(n_next, cfg)
-            p = _sa_rows(mu_hat, cur, g, temp)
-            eps_rec, alpha_rec = 0.0, 1.0 / temp
-        else:
-            eps = greedy_epsilon(n_next, cfg)
-            p = _greedy_rows(mu_hat, cur, g, eps)
-            eps_rec, alpha_rec = eps, 0.0
-
-        sel = _sample_rows(p, U[:, k])
-        _observe(mu_hat, S, rows, sel, rm, Z[:, k])
-        cur = sel
-        if n_next % record_stride == 0 or n_next == n_steps:
-            snap(n_next, eps_rec, alpha_rec)
-
-    ns = np.array(snaps_n, dtype=np.int64)
-    node_mat = np.stack(snaps_node, axis=1)
-    x_mat = np.stack(snaps_x, axis=1)
-    eps_arr = np.array(snaps_eps)
-    alpha_arr = np.array(snaps_alpha)
-    return [Trajectory(seed=seeds[r], ns=ns.copy(), nodes=node_mat[r].copy(),
-                       xs=x_mat[r].copy(), eps=eps_arr.copy(),
-                       alphas=alpha_arr.copy())
-            for r in range(R)]
-
-
 def run_sa_batch(g: Graph, rm: RewardModel, cfg: SAConfig, n_steps: int,
                  seeds, record_stride: int = 1, start=None) -> list[Trajectory]:
     """Seeded annealing runs, one per seed, sharing (g, rm, cfg)."""
-    return _run_baseline_batch("sa", g, rm, cfg, n_steps, seeds,
-                               record_stride, start)
+    def plan(n_steps):
+        temps = [sa_temperature(n, cfg) for n in range(1, n_steps + 1)]
+        alpha = np.array([0.0] + [1.0 / temp for temp in temps])
+        return (lambda t, S, mu_hat, cur: _sa_rows(mu_hat, cur, g, temps[t]),
+                np.zeros(n_steps + 1), alpha, None)
+
+    return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)
 
 
 def run_greedy_batch(g: Graph, rm: RewardModel, cfg: GreedyConfig,
                      n_steps: int, seeds, record_stride: int = 1,
                      start=None) -> list[Trajectory]:
     """Seeded epsilon-greedy runs, one per seed, sharing (g, rm, cfg)."""
-    return _run_baseline_batch("greedy", g, rm, cfg, n_steps, seeds,
-                               record_stride, start)
+    def plan(n_steps):
+        eps = np.array([0.0] + [greedy_epsilon(n, cfg)
+                                for n in range(1, n_steps + 1)])
+        return (lambda t, S, mu_hat, cur: _greedy_rows(mu_hat, cur, g, eps[t + 1]),
+                eps, np.zeros(n_steps + 1), None)
+
+    return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)

@@ -176,7 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an experiment config")
     p.add_argument("--config", required=True,
                    help="config file path or bundled name")
-    p.add_argument("--seed-override", type=int, default=None)
+    p.add_argument("--seed-override", type=int, default=None,
+                   help="run only this seed and print its summary; the "
+                        "experiment's summary.json is left as it is")
     p.add_argument("--out", default=None, help="output directory")
     p.set_defaults(func=_cmd_run)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -106,12 +107,27 @@ def parse_graph_arg(text: str) -> graphs.Graph:
     raise ConfigError(f"cannot parse graph spec {text!r}")
 
 
+def _number(value, what: str) -> float:
+    """A finite JSON number; booleans, strings, NaN and infinities are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str) -> int:
+    """An integral JSON number (100000 or 1e5); booleans are rejected."""
+    if not _number(value, what).is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _parse_seeds(spec) -> list[int]:
     if isinstance(spec, list):
-        seeds = [int(s) for s in spec]
+        seeds = [_integer(s, "seed") for s in spec]
     elif isinstance(spec, dict) and set(spec) <= {"count", "base"}:
-        base = int(spec.get("base", 1))
-        seeds = list(range(base, base + int(spec["count"])))
+        base = _integer(spec.get("base", 1), "seeds base")
+        seeds = list(range(base, base + _integer(spec["count"], "seeds count")))
     else:
         raise ConfigError("seeds must be a list or {'count': k, 'base': b}")
     if len(set(seeds)) != len(seeds):
@@ -137,7 +153,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"algorithm must be one of {_ALGOS}")
 
     g = build_graph(doc["graph"])  # validates the block and any file
-    mu = np.asarray(doc["mu"], dtype=float)
+    if not isinstance(doc["mu"], list):
+        raise ConfigError("mu must be a list of numbers")
+    mu = np.array([_number(v, "mu entry") for v in doc["mu"]])
     if mu.size != g.m:
         raise ConfigError(f"mu has {mu.size} entries for a {g.m}-node graph")
 
@@ -150,7 +168,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     try:
         greedy_eps = baselines.GreedyConfig(
             eps_mode=greedy_spec.get("mode", "one_over_n"),
-            eps_value=float(greedy_spec.get("value", 0.1)))
+            eps_value=_number(greedy_spec.get("value", 0.1), "greedy_eps value"))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad greedy_eps block: {exc}") from exc
 
@@ -158,8 +176,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if start == "uniform":
         start = None
     elif isinstance(start, list):
-        start = [int(s) for s in start]
-    elif isinstance(start, int):
+        start = [_integer(s, "start node") for s in start]
+    elif isinstance(start, int) and not isinstance(start, bool):
         pass
     else:
         raise ConfigError("start must be 'uniform', a node id, or a node list")
@@ -172,14 +190,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
             if key not in acceptance:
                 raise ConfigError(f"acceptance block missing {key!r}")
 
-    n_steps = int(doc["n_steps"])
-    stride = int(doc.get("record_stride", max(1, n_steps // 100)))
+    n_steps = _integer(doc["n_steps"], "n_steps")
+    stride = _integer(doc.get("record_stride", max(1, n_steps // 100)),
+                      "record_stride")
     if n_steps < 1 or stride < 1:
         raise ConfigError("n_steps and record_stride must be positive")
 
     return ExperimentConfig(
         name=str(doc["name"]), graph_spec=doc["graph"], mu=mu,
-        noise_std=float(doc.get("noise_std", 0.0)), algorithm=algo,
+        noise_std=_number(doc.get("noise_std", 0.0), "noise_std"), algorithm=algo,
         schedule=schedule, n_steps=n_steps, seeds=_parse_seeds(doc["seeds"]),
         record_stride=stride, start=start, greedy_eps=greedy_eps,
         acceptance=acceptance, out_dir=doc.get("out_dir"), raw=doc)
@@ -269,7 +288,11 @@ def summarize_from_disk(cfg: ExperimentConfig, exp_dir: str) -> dict:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str,
                    seed_override: int | None = None) -> dict:
-    """Run all seeds, persist trajectories and metadata, return the summary."""
+    """Run all seeds, persist trajectories and metadata, return the summary.
+
+    With `seed_override` only that seed runs; its summary is returned but not
+    written, so the full run's `summary.json` stays intact.
+    """
     seeds = cfg.seeds if seed_override is None else [int(seed_override)]
     cfg = ExperimentConfig(**{**cfg.__dict__, "seeds": seeds})
     trajs = run_trajectories(cfg)
@@ -294,9 +317,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
                       sort_keys=True)
             fh.write("\n")
     summary = summarize_from_disk(cfg, exp_dir)
-    with open(os.path.join(exp_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    if seed_override is None:
+        with open(os.path.join(exp_dir, "summary.json"), "w") as fh:
+            json.dump(summary, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     return summary
 
 

@@ -4,11 +4,15 @@ The process: an agent at node i observes a noisy reward at each node it
 visits, keeps running-mean estimates mu_hat, and moves to a successor j with
 probability proportional to (mu_hat_j * x_j)**alpha, mixed with an eps(n)
 chance of a uniform random neighbor. x is the vector of visit frequencies,
-updated by
+driven by the stochastic-approximation recursion
 
     x(n+1) = x(n) + (I[next = j] - x(n)) / (n + 1),   x(0) = uniform,
 
-so reinforcement feeds back into the move distribution. Unvisited nodes (and
+so reinforcement feeds back into the move distribution. For n >= 1 the
+recursion has the closed form x(n) = S(n)/n, S the integer visit counts (the
+uniform x(0) is forgotten after one step), so the engine keeps only S and
+forms x at snapshots. The kernel is fed S directly: the common factor
+1/n**alpha cancels when a row is normalised. Unvisited nodes (and
 nodes whose current estimate is nonpositive) carry zero preference weight;
 when every neighbor has zero weight the reinforced part falls back to uniform
 on N(i), which keeps the kernel stochastic at the start of a run.
@@ -33,7 +37,6 @@ from .graphs import Graph
 from .schedules import ScheduleConfig, ScheduleState
 
 _BLOCK = 1 << 12  # random numbers pre-drawn per stream per refill
-_RENORM_TOL = 1e-9  # rescale x only if the simplex sum drifts this far
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,10 @@ class RewardModel:
         mu = np.asarray(self.mu, dtype=float)
         if mu.ndim != 1 or mu.size == 0:
             raise ValueError("mu must be a nonempty vector")
-        if not np.all(mu > 0):
-            raise ValueError("all rewards must be positive")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not np.all((mu > 0) & (mu < np.inf)):
+            raise ValueError("all rewards must be positive and finite")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError("noise_std must be nonnegative and finite")
         mu = mu.copy()
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
@@ -75,7 +78,7 @@ class WalkState:
     n: int
     current: int
     counts: np.ndarray  # int64 visit counts S, sum(counts) == n
-    x: np.ndarray       # visit frequencies on the simplex
+    x: np.ndarray       # visit frequencies counts/n (uniform at n = 0)
     mu_hat: np.ndarray  # running-mean reward estimates, 0 until first visit
     sched: ScheduleState
 
@@ -145,7 +148,9 @@ def _kernel_rows(x, mu_hat, cur, g: Graph, alpha: float, eps: float,
                  notnbr=None, unif=None) -> np.ndarray:
     """Transition rows for a batch: (R, m) states -> (R, m) stochastic rows.
 
-    Preference weights are evaluated in log space with a per-row shift so
+    `x` may be the visit frequencies or the raw counts S: rows are normalised,
+    so a common positive factor per row does not change them. Preference
+    weights are evaluated in log space with a per-row shift so
     arbitrarily large alpha cannot overflow; weights that underflow to zero
     relative to the row maximum are genuinely negligible. Nonpositive
     estimates contribute zero weight (log of the clamped product is -inf).
@@ -212,8 +217,9 @@ def observe_and_update_mean(state: WalkState, node: int, rm: RewardModel,
                             rng: WalkRng) -> float:
     """Draw the reward observation at `node` (0-based) and fold it into mu_hat.
 
-    Must be called after counts[node] was incremented for this arrival; the
-    running mean then divides by the exact observation count.
+    Works on any state with `counts` and `mu_hat` (the baselines' too). Must be
+    called after counts[node] was incremented for this arrival; the running
+    mean then divides by the exact observation count.
     """
     obs = float(rm.mu[node]) + rm.noise_std * float(rng.noise.standard_normal())
     s = state.counts[node]
@@ -228,10 +234,8 @@ def step(state: WalkState, g: Graph, rm: RewardModel, cfg: ScheduleConfig,
     u = np.array([rng.select.random()])
     sel = int(_sample_rows(probs[None, :], u)[0])
 
-    a = 1.0 / (state.n + 1)
-    state.x *= 1.0 - a
-    state.x[sel] += a
     state.counts[sel] += 1
+    state.x = state.counts / (state.n + 1)
     observe_and_update_mean(state, sel, rm, rng)
     state.current = sel
     state.n += 1
@@ -254,15 +258,17 @@ def _resolve_starts(g: Graph, start, rngs: list[WalkRng]) -> np.ndarray:
                     dtype=np.int64)
 
 
-def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
-              seeds, record_stride: int = 1, start=None,
-              record_rewards: bool = False) -> list[Trajectory]:
-    """Run one walk per seed, vectorized across seeds.
+def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
+                record_stride: int, start, plan,
+                record_rewards: bool = False) -> list[Trajectory]:
+    """The batched loop behind `run_batch` and the baselines' batch runners.
 
-    All runs share (g, rm, cfg) and differ only in their random streams, so
-    the schedule scalars are common. Results are bit-identical to running
-    each seed through `run` alone. `start` is None (uniform over V), a
-    1-based node id, or a pool of 1-based ids to draw from uniformly.
+    `plan(n_steps)` returns `(kernel, eps_col, alpha_col, final_sched)`:
+    `kernel(t, S, mu_hat, cur)` gives the (R, m) move rows for step t -> t+1
+    from the int64 visit counts S; `eps_col`/`alpha_col` are the values
+    recorded at n = 0..n_steps; `final_sched` is the schedule state stored in
+    each `final_state` (None leaves `final_state` unset). x = S/n is formed
+    only at snapshots and for the final state.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -274,18 +280,14 @@ def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
     mu = rm.mu
     if mu.size != g.m:
         raise ValueError("reward vector length != node count")
+    kernel, eps_col, alpha_col, final_sched = plan(n_steps)
 
     rngs = [WalkRng(s) for s in seeds]
     R, m = len(seeds), g.m
     cur = _resolve_starts(g, start, rngs)
     S = np.zeros((R, m), dtype=np.int64)
-    x = np.full((R, m), 1.0 / m)
     mu_hat = np.zeros((R, m))
-    eps_arr, alpha_arr, temp_arr = schedules.schedule_arrays(cfg, n_steps)
-
     rows = np.arange(R)
-    notnbr_all = ~g.adjacency_bool
-    unif_all = g.uniform_rows
     noise_std = rm.noise_std
     U = np.empty((R, _BLOCK))
     Z = np.empty((R, _BLOCK))
@@ -295,7 +297,7 @@ def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
     def snap(n):
         snaps_n.append(n)
         snaps_node.append(cur.copy())
-        snaps_x.append(x.copy())
+        snaps_x.append(S / n if n > 0 else np.full((R, m), 1.0 / m))
 
     snap(0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -305,16 +307,8 @@ def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
                 for r in range(R):
                     rngs[r].select.random(out=U[r])
                     rngs[r].noise.standard_normal(out=Z[r])
-                if np.abs(x.sum(axis=1) - 1.0).max() > _RENORM_TOL:
-                    x /= x.sum(axis=1)[:, None]
 
-            probs = _kernel_rows(x, mu_hat, cur, g, alpha_arr[t], eps_arr[t],
-                                 notnbr=notnbr_all[cur], unif=unif_all[cur])
-            sel = _sample_rows(probs, U[:, k])
-
-            a = 1.0 / (t + 1)
-            x *= 1.0 - a
-            x[rows, sel] += a
+            sel = _sample_rows(kernel(t, S, mu_hat, cur), U[:, k])
             S[rows, sel] += 1
             obs = mu[sel] + noise_std * Z[:, k]
             mu_hat[rows, sel] += (obs - mu_hat[rows, sel]) / S[rows, sel]
@@ -329,22 +323,44 @@ def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
     ns = np.array(snaps_n, dtype=np.int64)
     node_mat = np.stack(snaps_node, axis=1)   # (R, k)
     x_mat = np.stack(snaps_x, axis=1)         # (R, k, m)
-    eps_snap = eps_arr[ns]
-    alpha_snap = alpha_arr[ns]
-    final_sched = ScheduleState(n=n_steps, eps=float(eps_arr[n_steps]),
-                                temp=float(temp_arr[n_steps]))
+    eps_snap = eps_col[ns]
+    alpha_snap = alpha_col[ns]
 
     out = []
     for r in range(R):
-        final = WalkState(n=n_steps, current=int(cur[r]), counts=S[r].copy(),
-                          x=x[r].copy(), mu_hat=mu_hat[r].copy(),
-                          sched=final_sched)
+        final = None if final_sched is None else WalkState(
+            n=n_steps, current=int(cur[r]), counts=S[r].copy(),
+            x=S[r] / n_steps, mu_hat=mu_hat[r].copy(), sched=final_sched)
         out.append(Trajectory(
             seed=seeds[r], ns=ns.copy(), nodes=node_mat[r].copy(),
             xs=x_mat[r].copy(), eps=eps_snap.copy(), alphas=alpha_snap.copy(),
             final_state=final,
             rewards=rewards[r].copy() if record_rewards else None))
     return out
+
+
+def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
+              seeds, record_stride: int = 1, start=None,
+              record_rewards: bool = False) -> list[Trajectory]:
+    """Run one walk per seed, vectorized across seeds.
+
+    All runs share (g, rm, cfg) and differ only in their random streams, so
+    the schedule scalars are common. Results are bit-identical to running
+    each seed through `run` alone. `start` is None (uniform over V), a
+    1-based node id, or a pool of 1-based ids to draw from uniformly.
+    """
+    def plan(n_steps):
+        eps, alpha, temp = schedules.schedule_arrays(cfg, n_steps)
+        notnbr, unif = ~g.adjacency_bool, g.uniform_rows
+
+        def kernel(t, S, mu_hat, cur):
+            return _kernel_rows(S, mu_hat, cur, g, alpha[t], eps[t],
+                                notnbr=notnbr[cur], unif=unif[cur])
+        return kernel, eps, alpha, ScheduleState(
+            n=n_steps, eps=float(eps[n_steps]), temp=float(temp[n_steps]))
+
+    return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan,
+                       record_rewards)
 
 
 def run(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,

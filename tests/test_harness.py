@@ -66,6 +66,20 @@ def test_bad_schedule_block_reported():
         harness.parse_config(mini_config(schedule={"epsilon0": 2.0}))
     with pytest.raises(ConfigError):
         harness.parse_config(mini_config(schedule={"nope": 1}))
+    with pytest.raises(ConfigError):
+        harness.parse_config(mini_config(schedule={"T0": float("nan")}))
+    with pytest.raises(ConfigError):
+        harness.parse_config(mini_config(schedule={"cool_scale": float("inf")}))
+    with pytest.raises(ConfigError):
+        harness.parse_config(mini_config(noise_std=float("nan")))
+    with pytest.raises(ConfigError):
+        harness.parse_config(mini_config(n_steps=True))
+    with pytest.raises(ConfigError):
+        harness.parse_config(mini_config(record_stride=2.5))
+    with pytest.raises(ConfigError):
+        harness.parse_config(mini_config(mu=[2.0, 0.25, float("inf"), 1.0]))
+    with pytest.raises(ConfigError):
+        harness.parse_config(mini_config(start=True))
 
 
 def test_bundled_configs_load_and_validate():
@@ -121,11 +135,18 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_seed_override_runs_single_seed(tmp_path):
     cfg = harness.parse_config(mini_config())
-    out = str(tmp_path)
+    out = str(tmp_path / "override_only")
     summary = harness.run_experiment(cfg, out, seed_override=42)
     assert summary["seeds"] == [42]
     assert os.path.isdir(os.path.join(out, "mini", "42"))
     assert not os.path.isdir(os.path.join(out, "mini", "5"))
+    # after a full run, an override run leaves the full summary.json intact
+    out = str(tmp_path / "full_first")
+    harness.run_experiment(cfg, out)
+    path = os.path.join(out, "mini", "summary.json")
+    before = open(path, "rb").read()
+    assert harness.run_experiment(cfg, out, seed_override=42)["seeds"] == [42]
+    assert open(path, "rb").read() == before
 
 
 def test_all_algorithms_run(tmp_path):

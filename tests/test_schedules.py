@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from graphchoice import schedules
+from graphchoice import harness, schedules
 from graphchoice.schedules import ScheduleConfig, ScheduleState
 
 
@@ -174,6 +174,18 @@ def test_stock_cooling_rate_is_proportional_to_c_not_smaller():
     assert ratios[-1] == pytest.approx(1.0, abs=0.05)      # ... toward 1
 
 
+def test_verify_conditions_reads_the_floored_sequence():
+    # the shipped annealed two-clique schedule floors eps at 0.06: that floor
+    # (eps -> 0 violated) is its one fault; the explicit-log fixed exponent
+    # meets every condition
+    annealed = harness.load_config("two_clique_annealed")
+    report = schedules.verify_conditions(annealed.schedule, n_max=10**5, m=10)
+    assert [c.name for c in report.checks if not c.satisfied] == ["eps_to_zero"]
+    fixed = harness.load_config("two_clique_fixed")
+    report = schedules.verify_conditions(fixed.schedule, n_max=10**5, m=10)
+    assert report.ok, report.flagged()
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ScheduleConfig(epsilon0=0.0)
@@ -183,6 +195,12 @@ def test_config_validation():
         ScheduleConfig(T0=-1.0)
     with pytest.raises(ValueError):
         ScheduleConfig(burn_in=-1)
+    with pytest.raises(ValueError):
+        ScheduleConfig(T0=math.nan)
+    with pytest.raises(ValueError):
+        ScheduleConfig(cool_scale=math.inf)
+    with pytest.raises(ValueError):
+        ScheduleConfig(burn_in=True)
     with pytest.raises(ValueError):
         ScheduleState(n=0, eps=1.5, temp=1.0)
     st = ScheduleState(n=0, eps=0.5, temp=4.0)

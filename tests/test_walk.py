@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from graphchoice import graphs, schedules, walk
+from graphchoice import baselines, graphs, schedules, walk
 from graphchoice.schedules import ScheduleConfig
 
 
@@ -20,6 +20,10 @@ def test_reward_model_validation():
         walk.RewardModel(mu=np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
         walk.RewardModel(mu=np.array([1.0, 0.5]), noise_std=-0.1)
+    with pytest.raises(ValueError):
+        walk.RewardModel(mu=np.array([1.0, 0.5]), noise_std=float("nan"))
+    with pytest.raises(ValueError):
+        walk.RewardModel(mu=np.array([1.0, np.inf]))
 
 
 def test_pure_exploration_is_uniform_on_neighborhood():
@@ -103,19 +107,19 @@ def test_running_mean_first_and_second_visit():
 
 
 def test_step_frequency_recursion_arithmetic():
-    # m=2 at n=1 with x=(0.5,0.5); the sampled node is forced to be 1 by
-    # giving node 2 zero weight and eps=0 -> x becomes (0.75, 0.25)
+    # m=2 at n=2 with counts (1,1), x=(1/2,1/2); the sampled node is forced to
+    # be 1 by giving node 2 zero weight and eps=0 -> counts (2,1), x = S/3
     g = graphs.make_complete(2)
     cfg = ScheduleConfig(c_mode="constant", c_const=0.0, epsilon0=1e-12,
                          alpha_mode="fixed", T0=1.0)
     rng = walk.WalkRng(1)
-    st = _state(g, [0.5, 0.5], [1.0, 0.0], current=2, n=1, eps=0.0)
-    st.counts = np.array([1, 0], dtype=np.int64)
+    st = _state(g, [0.5, 0.5], [1.0, 0.0], current=2, n=2, eps=0.0)
     rm = walk.RewardModel(mu=np.array([1.0, 1.0]), noise_std=0.0)
     st = walk.step(st, g, rm, cfg, rng)
     assert st.current == 0
-    assert np.allclose(st.x, [0.75, 0.25], atol=1e-15)
-    assert st.n == 2
+    assert np.array_equal(st.counts, [2, 1])
+    assert np.array_equal(st.x, [2 / 3, 1 / 3])
+    assert st.n == 3
 
 
 def test_run_is_deterministic_per_seed():
@@ -136,12 +140,28 @@ def test_batch_runs_bit_identical_to_single_runs():
                           noise_std=np.sqrt(0.1))
     cfg = ScheduleConfig(c_mode="explicit_log", alpha_mode="cooled",
                          burn_in=10, cool_scale=1.6)
-    batch = walk.run_batch(g, rm, cfg, 1500, [3, 4, 5], record_stride=50)
-    for seed, traj in zip([3, 4, 5], batch):
-        solo = walk.run(g, rm, cfg, 1500, seed=seed, record_stride=50)
-        assert np.array_equal(solo.xs, traj.xs)
-        assert np.array_equal(solo.nodes, traj.nodes)
-        assert np.array_equal(solo.final_state.mu_hat, traj.final_state.mu_hat)
+    sa_cfg, greedy_cfg = baselines.SAConfig(), baselines.GreedyConfig()
+    engines = [  # (batched run, solo run) per algorithm
+        (lambda seeds: walk.run_batch(g, rm, cfg, 1500, seeds, record_stride=50),
+         lambda seed: walk.run(g, rm, cfg, 1500, seed=seed, record_stride=50)),
+        (lambda seeds: baselines.run_sa_batch(g, rm, sa_cfg, 1500, seeds,
+                                              record_stride=50),
+         lambda seed: baselines.run_sa_batch(g, rm, sa_cfg, 1500, [seed],
+                                             record_stride=50)[0]),
+        (lambda seeds: baselines.run_greedy_batch(g, rm, greedy_cfg, 1500,
+                                                  seeds, record_stride=50),
+         lambda seed: baselines.run_greedy_batch(g, rm, greedy_cfg, 1500,
+                                                 [seed], record_stride=50)[0]),
+    ]
+    for run_many, run_one in engines:
+        batch = run_many([3, 4, 5])
+        for seed, traj in zip([3, 4, 5], batch):
+            solo = run_one(seed)
+            for name in ("ns", "nodes", "xs", "eps", "alphas"):
+                assert np.array_equal(getattr(solo, name), getattr(traj, name))
+            if solo.final_state is not None:
+                assert np.array_equal(solo.final_state.mu_hat,
+                                      traj.final_state.mu_hat)
 
 
 def test_stepwise_loop_matches_run():
@@ -170,20 +190,16 @@ def test_replay_frequency_and_mean_recursions():
     traj = walk.run(g, rm, cfg, 3000, seed=21, record_stride=1,
                     record_rewards=True)
     m = g.m
-    # frequency recursion replay, exactly as recorded
-    x = np.full(m, 1.0 / m)
-    for k in range(1, len(traj.ns)):
-        a = 1.0 / traj.ns[k]
-        x *= 1.0 - a
-        x[traj.nodes[k]] += a
-        assert np.array_equal(x, traj.xs[k])
-    # observed-reward running means replayed against the final estimates
+    assert np.array_equal(traj.xs[0], np.full(m, 1.0 / m))
+    # replayed visit counts give every recorded x exactly as S(n)/n, and the
+    # observed-reward running means replay to the final estimates
     mu_hat = np.zeros(m)
     counts = np.zeros(m, dtype=np.int64)
     for k in range(1, len(traj.ns)):
         node = traj.nodes[k]
         counts[node] += 1
         mu_hat[node] += (traj.rewards[k - 1] - mu_hat[node]) / counts[node]
+        assert np.array_equal(traj.xs[k], counts / traj.ns[k])
     assert np.array_equal(mu_hat, traj.final_state.mu_hat)
     assert np.array_equal(counts, traj.final_state.counts)
     # integer identity and neighbor moves
