@@ -442,5 +442,7 @@ def covariance_eigen_bound(p, eps: float, m_i: int | None = None) -> EigenBoundR
     qmat, _ = np.linalg.qr(basis)
     b = qmat[:, 1:]  # orthonormal basis of the zero-sum hyperplane
     lam = float(np.linalg.eigvalsh(b.T @ q @ b)[0])
-    assert lam >= floor - 1e-12, "covariance eigenvalue fell below its floor"
+    if not lam >= floor - 1e-12:  # an explicit raise survives python -O
+        raise RuntimeError(f"covariance eigenvalue {lam!r} fell below its "
+                           f"floor {floor!r}")
     return EigenBoundResult(lam_min=lam, bound=floor, margin=lam - floor)

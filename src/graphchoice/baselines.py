@@ -15,7 +15,11 @@ running-mean reward estimates exactly like the reinforced walk:
     schedule eps_n = 1/n.
 
 Runs go through the walk module's batched engine and reuse its
-Trajectory/CSV format. The recorded `alpha`
+Trajectory/CSV format. Both kernels work on the padded neighbor slots of
+`Graph.neighbor_slots`, so a step costs O(R*d_max): estimates are read
+through the engine's flat (R, m+1) layout, whose zero column m backs the
+padding slots, and the uniform slot rows (0 on padding) supply 1/|N(x)| and
+the mask that keeps padding out of the greedy argmax. The recorded `alpha`
 column holds 1/T_n for annealing and 0 for epsilon-greedy; the `eps` column
 holds 0 for annealing and eps_n for epsilon-greedy. Randomness follows the
 same [init, select, noise] stream protocol as the reinforced walk: one
@@ -30,7 +34,7 @@ import numpy as np
 
 from .graphs import Graph
 from .walk import (RewardModel, Trajectory, WalkRng, _run_engine,
-                   _sample_rows, observe_and_update_mean)
+                   _sample_rows, _scatter, _slot_row, observe_and_update_mean)
 
 
 @dataclass(frozen=True)
@@ -102,41 +106,44 @@ def greedy_epsilon(n: int, cfg: GreedyConfig) -> float:
     return 1.0 / n
 
 
-def _sa_rows(mu_hat, cur, g: Graph, temp: float) -> np.ndarray:
-    """Annealing kernel rows for a batch; self-loop takes the leftover mass."""
-    rows = np.arange(cur.size)
-    nbr = g.adjacency_bool[cur]
-    drop = mu_hat[rows, cur][:, None] - mu_hat  # positive part penalizes downhill
-    pen = np.exp(-np.maximum(drop, 0.0) / temp)
-    p = np.where(nbr, pen, 0.0) / g.degrees[cur].astype(float)[:, None]
-    p[rows, cur] = 0.0
-    p[rows, cur] = 1.0 - p.sum(axis=1)
+def _sa_slots(mu_hat, mu_cur, own, unif, temp: float) -> np.ndarray:
+    """Annealing rows over neighbor slots; the own slot takes the leftover mass.
+
+    `mu_hat` holds the estimates on each row's (R, d_max) slots, `mu_cur` the
+    estimate at the current node, `own` marks the current node's slot (its
+    self-loop) and `unif` is the uniform slot rows, 0 on padding.
+    """
+    drop = mu_cur[:, None] - mu_hat  # positive part penalizes downhill
+    p = np.exp(-np.maximum(drop, 0.0) / temp) * unif
+    p[own] = 0.0
+    p[own] = 1.0 - p.sum(axis=1)
     return p
 
 
-def _greedy_rows(mu_hat, cur, g: Graph, eps: float) -> np.ndarray:
-    """Epsilon-greedy kernel rows; argmax ties go to the lowest node id."""
-    rows = np.arange(cur.size)
-    nbr = g.adjacency_bool[cur]
-    best = np.where(nbr, mu_hat, -np.inf).argmax(axis=1)
-    p = eps * nbr / g.degrees[cur].astype(float)[:, None]
-    p[rows, best] += 1.0 - eps
+def _greedy_slots(mu_hat, unif, eps: float) -> np.ndarray:
+    """Epsilon-greedy rows over neighbor slots; argmax ties go to the lowest
+    slot, which is the lowest node id because slots are sorted."""
+    best = np.where(unif > 0, mu_hat, -np.inf).argmax(axis=1)
+    p = eps * unif
+    p[np.arange(best.size), best] += 1.0 - eps
     return p
 
 
 def sa_transition_row(state: SAState, g: Graph) -> np.ndarray:
     """Single-state annealing kernel row (mostly for inspection and tests)."""
-    return _sa_rows(state.mu_hat[None, :], np.array([state.current]), g,
-                    state.temp)[0]
+    nb, unif, mu_hat = _slot_row(g, state.current, state.mu_hat)
+    p = _sa_slots(mu_hat, state.mu_hat[[state.current]],
+                  (nb == state.current)[None, :], unif, state.temp)
+    return _scatter(nb, p[0], g.m)
 
 
 def sa_step(state: SAState, g: Graph, rm: RewardModel, cfg: SAConfig,
             rng: WalkRng) -> SAState:
     """One annealing move; observes the reward of the node moved to."""
     state.temp = sa_temperature(state.n + 1, cfg)
-    p = _sa_rows(state.mu_hat[None, :], np.array([state.current]), g, state.temp)
+    p = sa_transition_row(state, g)
     u = np.array([rng.select.random()])
-    sel = int(_sample_rows(p, u)[0])
+    sel = int(_sample_rows(p[None, :], u)[0])
     state.counts[sel] += 1
     observe_and_update_mean(state, sel, rm, rng)
     state.current = sel
@@ -148,10 +155,10 @@ def greedy_step(state: GreedyState, g: Graph, rm: RewardModel,
                 cfg: GreedyConfig, rng: WalkRng) -> GreedyState:
     """One epsilon-greedy move; observes the reward of the node moved to."""
     state.eps = greedy_epsilon(state.n + 1, cfg)
-    p = _greedy_rows(state.mu_hat[None, :], np.array([state.current]), g,
-                     state.eps)
+    nb, unif, mu_hat = _slot_row(g, state.current, state.mu_hat)
+    p = _scatter(nb, _greedy_slots(mu_hat, unif, state.eps)[0], g.m)
     u = np.array([rng.select.random()])
-    sel = int(_sample_rows(p, u)[0])
+    sel = int(_sample_rows(p[None, :], u)[0])
     state.counts[sel] += 1
     observe_and_update_mean(state, sel, rm, rng)
     state.current = sel
@@ -165,8 +172,11 @@ def run_sa_batch(g: Graph, rm: RewardModel, cfg: SAConfig, n_steps: int,
     def plan(n_steps):
         temps = [sa_temperature(n, cfg) for n in range(1, n_steps + 1)]
         alpha = np.array([0.0] + [1.0 / temp for temp in temps])
-        return (lambda t, S, mu_hat, cur: _sa_rows(mu_hat, cur, g, temps[t]),
-                np.zeros(n_steps + 1), alpha, None)
+
+        def kernel(t, S, mu_hat, at, nbr, unif):
+            return _sa_slots(mu_hat.take(nbr), mu_hat.take(at),
+                             nbr == at[:, None], unif, temps[t])
+        return kernel, np.zeros(n_steps + 1), alpha, None
 
     return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)
 
@@ -178,7 +188,9 @@ def run_greedy_batch(g: Graph, rm: RewardModel, cfg: GreedyConfig,
     def plan(n_steps):
         eps = np.array([0.0] + [greedy_epsilon(n, cfg)
                                 for n in range(1, n_steps + 1)])
-        return (lambda t, S, mu_hat, cur: _greedy_rows(mu_hat, cur, g, eps[t + 1]),
-                eps, np.zeros(n_steps + 1), None)
+
+        def kernel(t, S, mu_hat, at, nbr, unif):
+            return _greedy_slots(mu_hat.take(nbr), unif, eps[t + 1])
+        return kernel, eps, np.zeros(n_steps + 1), None
 
     return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)

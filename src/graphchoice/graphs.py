@@ -61,6 +61,26 @@ class Graph:
         u.setflags(write=False)
         return u
 
+    @cached_property
+    def neighbor_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """Padded neighbor table `(ids, uniform)`, both (m, d_max). Read-only.
+
+        Row i of `ids` lists N(i) sorted and padded with the sentinel m; row i
+        of `uniform` is the uniform law on N(i) on the same slots, 1/|N(i)| on
+        real slots and 0 on padding. Per-node arrays with a zero column m
+        appended read a whole neighborhood with one gather through `ids`.
+        """
+        rows, cols = np.nonzero(self.adjacency_bool)  # row-major: cols sorted
+        deg = np.bincount(rows, minlength=self.m)
+        slot = np.arange(rows.size) - (np.cumsum(deg) - deg)[rows]
+        ids = np.full((self.m, int(deg.max())), self.m, dtype=np.int64)
+        uniform = np.zeros(ids.shape)
+        ids[rows, slot] = cols
+        uniform[rows, slot] = 1.0 / deg[rows]
+        ids.setflags(write=False)
+        uniform.setflags(write=False)
+        return ids, uniform
+
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Sorted successor ids of node i, both 1-based."""
         return tuple(j + 1 for j in self.nbrs[i - 1])

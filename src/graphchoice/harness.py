@@ -122,6 +122,14 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _node(value, m: int, what: str) -> int:
+    """A 1-based node id of an m-node graph."""
+    node = _integer(value, what)
+    if not 1 <= node <= m:
+        raise ConfigError(f"{what} {node} out of range 1..{m}")
+    return node
+
+
 def _parse_seeds(spec) -> list[int]:
     if isinstance(spec, list):
         seeds = [_integer(s, "seed") for s in spec]
@@ -158,6 +166,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     mu = np.array([_number(v, "mu entry") for v in doc["mu"]])
     if mu.size != g.m:
         raise ConfigError(f"mu has {mu.size} entries for a {g.m}-node graph")
+    if np.any(mu <= 0):
+        raise ConfigError("mu entries must be positive")
 
     try:
         schedule = ScheduleConfig(**doc.get("schedule", {}))
@@ -176,9 +186,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if start == "uniform":
         start = None
     elif isinstance(start, list):
-        start = [_integer(s, "start node") for s in start]
+        start = [_node(s, g.m, "start node") for s in start]
+        if not start:
+            raise ConfigError("start node list must be nonempty")
     elif isinstance(start, int) and not isinstance(start, bool):
-        pass
+        start = _node(start, g.m, "start node")
     else:
         raise ConfigError("start must be 'uniform', a node id, or a node list")
 
@@ -189,6 +201,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         for key in _ACCEPT_KEYS:
             if key not in acceptance:
                 raise ConfigError(f"acceptance block missing {key!r}")
+        if not isinstance(acceptance["nodes"], list):
+            raise ConfigError("acceptance nodes must be a list of node ids")
+        for v in acceptance["nodes"]:
+            _node(v, g.m, "acceptance node")
 
     n_steps = _integer(doc["n_steps"], "n_steps")
     stride = _integer(doc.get("record_stride", max(1, n_steps // 100)),

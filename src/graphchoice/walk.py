@@ -17,10 +17,18 @@ nodes whose current estimate is nonpositive) carry zero preference weight;
 when every neighbor has zero weight the reinforced part falls back to uniform
 on N(i), which keeps the kernel stochastic at the start of a run.
 
+Kernels work on neighbor slots, not on all m nodes. `Graph.neighbor_slots`
+lists N(i) in d_max slots padded with the sentinel id m, and the engine keeps
+S and mu_hat as (R, m+1) arrays whose last column stays zero. One gather on
+flat indices row*(m+1) + id reads a step's neighborhoods as (R, d_max) rows; a
+padding slot reads weight 0, so it carries log-weight -inf and probability 0
+without a mask. A step therefore costs O(R*d_max), however large m is; on a
+graph with a node of degree m (complete, star hub) that is O(R*m) again.
+
 Randomness protocol (recorded in run metadata): each seed expands through
 numpy's SeedSequence into three independent PCG64 streams, [init, select,
 noise]. The init stream is consumed only when the start node is drawn
-uniformly; the select stream yields exactly one uniform per step (the node
+uniformly; the select stream yields exactly one uniform per step (the slot
 draw via the cumulative kernel row); the noise stream yields exactly one
 standard normal per step. Because the streams are separate and consumed in
 fixed order, a batched run over many seeds is bit-identical to running each
@@ -124,11 +132,11 @@ class Trajectory:
         m = self.xs.shape[1]
         with open(path, "w") as fh:
             fh.write("n,xi,eps,alpha," + ",".join(f"x_{i+1}" for i in range(m)) + "\n")
-            for k in range(len(self.ns)):
-                row = [str(int(self.ns[k])), str(int(self.nodes[k]) + 1),
-                       repr(float(self.eps[k])), repr(float(self.alphas[k]))]
-                row += [repr(float(v)) for v in self.xs[k]]
-                fh.write(",".join(row) + "\n")
+            fh.writelines(
+                f"{n},{node + 1},{e!r},{a!r},{','.join(map(repr, x))}\n"
+                for n, node, e, a, x in zip(
+                    self.ns.tolist(), self.nodes.tolist(), self.eps.tolist(),
+                    self.alphas.tolist(), self.xs.tolist()))
 
 
 def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
@@ -144,35 +152,30 @@ def read_trajectory_csv(path, seed: int = -1) -> Trajectory:
     return Trajectory(seed=seed, ns=ns, nodes=nodes, xs=xs, eps=eps, alphas=alphas)
 
 
-def _kernel_rows(x, mu_hat, cur, g: Graph, alpha: float, eps: float,
-                 notnbr=None, unif=None) -> np.ndarray:
-    """Transition rows for a batch: (R, m) states -> (R, m) stochastic rows.
+def _reinforced_slots(S, mu_hat, unif, alpha: float, eps: float) -> np.ndarray:
+    """Reinforced move rows over neighbor slots: (R, d_max) -> (R, d_max).
 
-    `x` may be the visit frequencies or the raw counts S: rows are normalised,
-    so a common positive factor per row does not change them. Preference
-    weights are evaluated in log space with a per-row shift so
-    arbitrarily large alpha cannot overflow; weights that underflow to zero
-    relative to the row maximum are genuinely negligible. Nonpositive
-    estimates contribute zero weight (log of the clamped product is -inf).
-    Callers are expected to silence divide/invalid warnings via errstate;
-    `notnbr`/`unif` allow hot loops to pass pre-gathered neighborhood rows.
+    `S` and `mu_hat` are the visit counts (or frequencies: rows are
+    normalised, so a common positive factor per row does not change them) and
+    the estimates read on each row's slots, padding slots reading 0; `unif` is
+    the matching uniform slot rows. Preference weights are evaluated in log
+    space with a per-row shift so arbitrarily large alpha cannot overflow;
+    weights that underflow to zero relative to the row maximum are genuinely
+    negligible. Padding, unvisited slots and nonpositive estimates carry zero
+    weight (log of the clamped product is -inf). Callers are expected to
+    silence divide/invalid warnings via errstate.
     """
-    if notnbr is None:
-        notnbr = ~g.adjacency_bool[cur]
-    if unif is None:
-        unif = g.uniform_rows[cur]
-    p = mu_hat * x
+    p = mu_hat * S
     np.maximum(p, 0.0, out=p)
     np.log(p, out=p)
     p *= alpha
-    np.copyto(p, -np.inf, where=notnbr)
     rowmax = p.max(axis=1)
     if rowmax.min() == -np.inf:  # some row has no visited neighbor yet
         live = rowmax > -np.inf
         p -= np.where(live, rowmax, 0.0)[:, None]
         np.exp(p, out=p)
         dead = ~live
-        p[dead] = ~notnbr[dead]  # uniform fallback keeps the row stochastic
+        p[dead] = unif[dead] > 0  # uniform on N(cur) keeps the row stochastic
     else:
         p -= rowmax[:, None]
         np.exp(p, out=p)
@@ -180,6 +183,23 @@ def _kernel_rows(x, mu_hat, cur, g: Graph, alpha: float, eps: float,
     p *= scale[:, None]
     p += eps * unif
     return p
+
+
+def _slot_row(g: Graph, node: int, *vectors):
+    """One state in the engine's slot layout, for the stepwise references:
+    the slot ids of N(node), then its uniform slot row and each m-vector read
+    on those slots as (1, d_max) rows, padding slots reading 0."""
+    ids, uniform = g.neighbor_slots
+    nb = ids[node]
+    return (nb, uniform[node][None, :],
+            *(np.append(v, 0.0)[nb][None, :] for v in vectors))
+
+
+def _scatter(nb: np.ndarray, row: np.ndarray, m: int) -> np.ndarray:
+    """A slot row back on all m nodes; padding slots land on the dropped id m."""
+    out = np.zeros(m + 1)
+    out[nb] = row
+    return out[:m]
 
 
 def transition_probabilities(state: WalkState, g: Graph,
@@ -196,19 +216,19 @@ def transition_probabilities(state: WalkState, g: Graph,
         raise ValueError("alpha must be positive")
     if not 0.0 <= e <= 1.0:
         raise ValueError("eps must be in [0, 1]")
+    nb, unif, x, mu_hat = _slot_row(g, state.current, state.x, state.mu_hat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rows = _kernel_rows(state.x[None, :], state.mu_hat[None, :],
-                            np.array([state.current]), g, a, e)
-    return rows[0]
+        return _scatter(nb, _reinforced_slots(x, mu_hat, unif, a, e)[0], g.m)
 
 
 def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row; zero-probability entries are never selected."""
+    """Inverse-CDF draw per row; zero-probability entries (padding slots
+    among them) are never selected."""
     cum = probs.cumsum(axis=1)
     sel = (u[:, None] >= cum).sum(axis=1)
-    m = probs.shape[1]
-    if sel.max() >= m:  # u beyond a short final cumsum: last supported node
-        for r in np.flatnonzero(sel >= m):
+    d = probs.shape[1]
+    if sel.max() >= d:  # u beyond a short final cumsum: last supported slot
+        for r in np.flatnonzero(sel >= d):
             sel[r] = np.flatnonzero(probs[r] > 0)[-1]
     return sel
 
@@ -264,11 +284,15 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
     """The batched loop behind `run_batch` and the baselines' batch runners.
 
     `plan(n_steps)` returns `(kernel, eps_col, alpha_col, final_sched)`:
-    `kernel(t, S, mu_hat, cur)` gives the (R, m) move rows for step t -> t+1
-    from the int64 visit counts S; `eps_col`/`alpha_col` are the values
-    recorded at n = 0..n_steps; `final_sched` is the schedule state stored in
-    each `final_state` (None leaves `final_state` unset). x = S/n is formed
-    only at snapshots and for the final state.
+    `kernel(t, S, mu_hat, at, nbr, unif)` gives the (R, d_max) slot rows for
+    step t -> t+1. `S` (int64 visit counts) and `mu_hat` are flat views of
+    (R, m+1) arrays whose column m stays zero, `at` holds the flat index
+    row*(m+1) + cur of each row's current node, `nbr` the (R, d_max) flat
+    indices of its neighbor slots (padding reads column m) and `unif` the
+    matching uniform slot rows. `eps_col`/`alpha_col` are the values recorded
+    at n = 0..n_steps; `final_sched` is the schedule state stored in each
+    `final_state` (None leaves `final_state` unset). x = S/n is formed only at
+    snapshots and for the final state.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -284,10 +308,16 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
 
     rngs = [WalkRng(s) for s in seeds]
     R, m = len(seeds), g.m
+    ids, uniform = g.neighbor_slots
     cur = _resolve_starts(g, start, rngs)
-    S = np.zeros((R, m), dtype=np.int64)
-    mu_hat = np.zeros((R, m))
-    rows = np.arange(R)
+    base = np.arange(R) * (m + 1)         # flat index of each row's node 0
+    base_col = base[:, None]
+    slot_base = np.arange(R) * ids.shape[1]
+    S = np.zeros(R * (m + 1), dtype=np.int64)
+    mu_hat = np.zeros(R * (m + 1))
+    S_rows = S.reshape(R, m + 1)[:, :m]
+    mu_rows = mu_hat.reshape(R, m + 1)[:, :m]
+    at = base + cur
     noise_std = rm.noise_std
     U = np.empty((R, _BLOCK))
     Z = np.empty((R, _BLOCK))
@@ -297,7 +327,7 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
     def snap(n):
         snaps_n.append(n)
         snaps_node.append(cur.copy())
-        snaps_x.append(S / n if n > 0 else np.full((R, m), 1.0 / m))
+        snaps_x.append(S_rows / n if n > 0 else np.full((R, m), 1.0 / m))
 
     snap(0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -308,13 +338,17 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
                     rngs[r].select.random(out=U[r])
                     rngs[r].noise.standard_normal(out=Z[r])
 
-            sel = _sample_rows(kernel(t, S, mu_hat, cur), U[:, k])
-            S[rows, sel] += 1
-            obs = mu[sel] + noise_std * Z[:, k]
-            mu_hat[rows, sel] += (obs - mu_hat[rows, sel]) / S[rows, sel]
+            nb = ids.take(cur, axis=0)
+            slot = _sample_rows(kernel(t, S, mu_hat, at, nb + base_col,
+                                       uniform.take(cur, axis=0)), U[:, k])
+            cur = nb.take(slot_base + slot)
+            at = base + cur
+            S[at] += 1
+            obs = mu.take(cur) + noise_std * Z[:, k]
+            est = mu_hat.take(at)
+            mu_hat[at] = est + (obs - est) / S.take(at)
             if record_rewards:
                 rewards[:, t] = obs
-            cur = sel
 
             n = t + 1
             if n % record_stride == 0 or n == n_steps:
@@ -329,8 +363,8 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
     out = []
     for r in range(R):
         final = None if final_sched is None else WalkState(
-            n=n_steps, current=int(cur[r]), counts=S[r].copy(),
-            x=S[r] / n_steps, mu_hat=mu_hat[r].copy(), sched=final_sched)
+            n=n_steps, current=int(cur[r]), counts=S_rows[r].copy(),
+            x=S_rows[r] / n_steps, mu_hat=mu_rows[r].copy(), sched=final_sched)
         out.append(Trajectory(
             seed=seeds[r], ns=ns.copy(), nodes=node_mat[r].copy(),
             xs=x_mat[r].copy(), eps=eps_snap.copy(), alphas=alpha_snap.copy(),
@@ -351,11 +385,10 @@ def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
     """
     def plan(n_steps):
         eps, alpha, temp = schedules.schedule_arrays(cfg, n_steps)
-        notnbr, unif = ~g.adjacency_bool, g.uniform_rows
 
-        def kernel(t, S, mu_hat, cur):
-            return _kernel_rows(S, mu_hat, cur, g, alpha[t], eps[t],
-                                notnbr=notnbr[cur], unif=unif[cur])
+        def kernel(t, S, mu_hat, at, nbr, unif):
+            return _reinforced_slots(S.take(nbr), mu_hat.take(nbr), unif,
+                                     alpha[t], eps[t])
         return kernel, eps, alpha, ScheduleState(
             n=n_steps, eps=float(eps[n_steps]), temp=float(temp[n_steps]))
 

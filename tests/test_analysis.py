@@ -348,6 +348,13 @@ def test_eigen_bound_rejects_floor_violation():
         analysis.covariance_eigen_bound(np.array([0.9, 0.05, 0.05]), 0.6, 3)
 
 
+def test_eigen_bound_raises_when_eigenvalue_below_floor(monkeypatch):
+    # an explicit raise, not an assert, so the check also runs under python -O
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([0.0, 1.0]))
+    with pytest.raises(RuntimeError, match="below its floor"):
+        analysis.covariance_eigen_bound(np.array([0.5, 0.25, 0.25]), 0.6, 3)
+
+
 # --------------------------------------------------------- scale invariance
 
 def test_kernel_and_stationary_scale_invariance():

@@ -203,6 +203,17 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert err["error"] == "config"
 
 
+def test_cli_out_of_range_acceptance_node_exits_2_before_running(tmp_path,
+                                                                  capsys):
+    doc = mini_config(acceptance={"nodes": [9], "min_fraction": 0.5,
+                                  "min_seeds": 1})
+    out = str(tmp_path / "runs")
+    assert cli.main(["run", "--config", write_config(tmp_path, doc),
+                     "--out", out]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not os.path.exists(out)
+
+
 def test_cli_missing_config_exits_2(capsys):
     assert cli.main(["run", "--config", "no_such_config"]) == 2
 

@@ -205,3 +205,18 @@ def test_config_validation():
         ScheduleState(n=0, eps=1.5, temp=1.0)
     st = ScheduleState(n=0, eps=0.5, temp=4.0)
     assert st.alpha == 0.25
+    # inputs that used to fail only at run time are config errors
+    doc = {"schema": 1, "name": "v", "graph": {"generator": "linear", "m": 4},
+           "mu": [2.0, 0.25, 0.5, 1.0], "algorithm": "reinforced",
+           "n_steps": 10, "seeds": [1],
+           "acceptance": {"nodes": [1], "min_fraction": 0.5, "min_seeds": 1}}
+    harness.parse_config(doc)
+    for bad in ({"acceptance": {**doc["acceptance"], "nodes": [9]}},
+                {"acceptance": {**doc["acceptance"], "nodes": [0]}},
+                {"mu": [-1.0, 0.25, 0.5, 1.0]},
+                {"mu": [2.0, 0.0, 0.5, 1.0]},
+                {"start": 9},
+                {"start": [1, 9]},
+                {"start": []}):
+        with pytest.raises(harness.ConfigError):
+            harness.parse_config({**doc, **bad})

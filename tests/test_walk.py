@@ -274,3 +274,137 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(back.xs, traj.xs)
     assert np.array_equal(back.eps, traj.eps)
     assert np.array_equal(back.alphas, traj.alphas)
+
+
+def test_trajectory_csv_writes_repr_text(tmp_path):
+    awkward = [1 / 3, 0.1 + 0.2, 5e-324, 1.0]
+    traj = walk.Trajectory(seed=0, ns=np.array([0, 7]), nodes=np.array([0, 2]),
+                           xs=np.array([awkward, awkward[::-1]]),
+                           eps=np.array(awkward[:2]), alphas=np.array(awkward[2:]))
+    path = tmp_path / "t.csv"
+    traj.to_csv(path)
+    assert path.read_text() == (
+        "n,xi,eps,alpha,x_1,x_2,x_3,x_4\n"
+        "0,1,0.3333333333333333,5e-324,"
+        "0.3333333333333333,0.30000000000000004,5e-324,1.0\n"
+        "7,3,0.30000000000000004,1.0,"
+        "1.0,5e-324,0.30000000000000004,0.3333333333333333\n")
+
+
+def _chorded_path(m, n_chords, seed):
+    rng = np.random.default_rng(seed)
+    edges = [(k, k + 1) for k in range(1, m)]
+    edges += [tuple(int(v) for v in rng.choice(np.arange(1, m + 1), 2,
+                                               replace=False))
+              for _ in range(n_chords)]
+    return graphs.from_edges(m, edges, repair=True)
+
+
+# graphs with unequal degrees, so most rows of the slot table are padded
+UNEQUAL_DEGREE_GRAPHS = [graphs.make_star(9, 1), graphs.make_two_cliques(2, 5),
+                         _chorded_path(12, 5, seed=4)]
+
+
+def test_neighbor_slot_table():
+    for g in UNEQUAL_DEGREE_GRAPHS + [graphs.make_complete(3)]:
+        ids, unif = g.neighbor_slots
+        assert ids.shape == unif.shape == (g.m, g.degrees.max())
+        assert not ids.flags.writeable and not unif.flags.writeable
+        for i in range(g.m):
+            d = len(g.nbrs[i])
+            assert tuple(ids[i, :d]) == g.nbrs[i]
+            assert np.all(ids[i, d:] == g.m)
+            assert np.array_equal(unif[i, :d], g.uniform_rows[i, list(g.nbrs[i])])
+            assert np.all(unif[i, d:] == 0.0)
+
+
+def test_slot_batches_match_stepwise_loops_on_unequal_degrees():
+    seeds, n_steps = [2, 3, 4], 300
+    cfg = ScheduleConfig(c_mode="explicit_log", alpha_mode="cooled",
+                         burn_in=10, cool_scale=1.6)
+    sa_cfg, gr_cfg = baselines.SAConfig(), baselines.GreedyConfig()
+    for g in UNEQUAL_DEGREE_GRAPHS:
+        mu = np.linspace(0.2, 2.0, g.m)[::-1].copy()
+        rm = walk.RewardModel(mu=mu, noise_std=0.5)  # negative estimates occur
+        algos = [
+            (walk.run_batch(g, rm, cfg, n_steps, seeds, record_stride=1),
+             lambda start: walk.WalkState.initial(g, cfg, start),
+             lambda st, rng: walk.step(st, g, rm, cfg, rng)),
+            (baselines.run_sa_batch(g, rm, sa_cfg, n_steps, seeds,
+                                    record_stride=1),
+             lambda start: baselines.SAState.initial(g, start),
+             lambda st, rng: baselines.sa_step(st, g, rm, sa_cfg, rng)),
+            (baselines.run_greedy_batch(g, rm, gr_cfg, n_steps, seeds,
+                                        record_stride=1),
+             lambda start: baselines.GreedyState.initial(g, start),
+             lambda st, rng: baselines.greedy_step(st, g, rm, gr_cfg, rng)),
+        ]
+        for trajs, initial, advance in algos:
+            for seed, traj in zip(seeds, trajs):
+                rng = walk.WalkRng(seed)
+                st = initial(int(rng.init.integers(0, g.m)) + 1)
+                nodes = [st.current]
+                for _ in range(n_steps):
+                    st = advance(st, rng)
+                    nodes.append(st.current)
+                assert np.array_equal(traj.nodes, nodes)
+                assert np.array_equal(st.counts, np.rint(traj.xs[-1] * n_steps))
+                if traj.final_state is not None:
+                    assert np.array_equal(st.counts, traj.final_state.counts)
+                    assert np.array_equal(st.mu_hat, traj.final_state.mu_hat)
+
+
+def test_dead_row_fallback_is_uniform_on_real_slots():
+    # at n = 0 no neighbor carries weight: the row is uniform on N(cur) and
+    # its padding slots stay at probability 0
+    for g in UNEQUAL_DEGREE_GRAPHS:
+        ids, unif = g.neighbor_slots
+        zeros = np.zeros(ids.shape)
+        with np.errstate(divide="ignore"):
+            p = walk._reinforced_slots(zeros, zeros, unif, alpha=1.3, eps=0.2)
+        assert np.all(p[ids == g.m] == 0.0)
+        assert np.allclose(p, unif, rtol=0, atol=1e-15)
+        rm = walk.RewardModel(mu=np.ones(g.m))
+        for start in range(1, g.m + 1):
+            trajs = walk.run_batch(g, rm, ScheduleConfig(epsilon0=1e-9), 1,
+                                   range(40), start=start)
+            moved = {int(t.nodes[1]) for t in trajs}
+            assert moved <= set(g.nbrs[start - 1])
+            assert all(t.final_state.counts.sum() == 1 for t in trajs)
+
+
+def test_tail_fallback_never_picks_a_padding_slot():
+    # u = nextafter(1, 0) beyond a row whose cumsum rounds below 1: the draw
+    # falls back to the last real slot, never to the padding behind it
+    g = graphs.make_star(9, 1)
+    ids, unif = g.neighbor_slots
+    u = np.array([np.nextafter(1.0, 0.0)])
+    rng = np.random.default_rng(0)
+    fired = 0
+    for _ in range(2000):
+        leaf = int(rng.integers(1, g.m))
+        real = ids[[leaf]] < g.m
+        S = rng.integers(0, 50, size=real.shape) * real
+        mu_hat = rng.uniform(0.1, 2.0, size=real.shape) * real
+        with np.errstate(divide="ignore"):
+            p = walk._reinforced_slots(S, mu_hat, unif[[leaf]],
+                                       alpha=float(rng.uniform(0.5, 3.0)),
+                                       eps=float(rng.uniform(0.0, 1.0)))
+        if p.cumsum()[-1] > u[0]:
+            continue
+        fired += 1
+        slot = int(walk._sample_rows(p, u)[0])
+        assert slot == np.flatnonzero(p[0] > 0)[-1]
+        assert ids[leaf, slot] < g.m
+    assert fired > 0
+
+
+def test_greedy_argmax_never_picks_a_padding_slot():
+    # padding reads estimate 0, above every real neighbor's negative estimate
+    g = graphs.make_star(9, 1)
+    cfg = baselines.GreedyConfig(eps_mode="constant", eps_value=0.0)
+    rm = walk.RewardModel(mu=np.ones(g.m), noise_std=0.0)
+    st = baselines.GreedyState.initial(g, 5)
+    st.mu_hat = -np.arange(1.0, g.m + 1)  # node 1 (the hub) is the best
+    st = baselines.greedy_step(st, g, rm, cfg, walk.WalkRng(0))
+    assert st.current == 0
