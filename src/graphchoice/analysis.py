@@ -37,14 +37,15 @@ def _as_interior(x, m: int | None = None) -> np.ndarray:
         raise ValueError("expected a probability vector")
     if m is not None and x.size != m:
         raise ValueError(f"vector length {x.size} != node count {m}")
-    if np.any(x <= 0):
-        raise ValueError("boundary point rejected: all components must be > 0")
+    if not (0.0 < x.min() and x.max() < np.inf):  # False on NaN too
+        raise ValueError("boundary point rejected: all components must be "
+                         "positive and finite")
     return x
 
 
 def _check_alpha(alpha: float) -> float:
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < np.inf:  # False on NaN too
+        raise ValueError("alpha must be positive and finite")
     return float(alpha)
 
 
@@ -52,8 +53,8 @@ def _as_rewards(mu, m: int) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (m,):
         raise ValueError(f"reward vector length {mu.size} != node count {m}")
-    if np.any(mu <= 0):
-        raise ValueError("rewards must be positive")
+    if not (0.0 < mu.min() and mu.max() < np.inf):
+        raise ValueError("rewards must be positive and finite")
     return mu
 
 
@@ -151,16 +152,20 @@ class PotentialReport:
     lyapunov: float
 
 
+def _gradient(x: np.ndarray, g: Graph, mu, alpha: float) -> np.ndarray:
+    """phi_i = f_i * sum_{j in N(i)} f_j / x_i at a validated interior x."""
+    f = pref_weights(x, mu, alpha)
+    return f * (g.adjacency_bool @ f) / x
+
+
 def potential(x, g: Graph, mu, alpha: float) -> PotentialReport:
     alpha = _check_alpha(alpha)
     x = _as_interior(x, g.m)
-    f = pref_weights(x, mu, alpha)
-    af = g.adjacency_bool @ f
-    value = float(f @ af) / (2.0 * alpha)
-    grad = f * af / x
+    grad = _gradient(x, g, mu, alpha)
     mean = float(x @ grad)
     lyap = float(x @ (grad - mean) ** 2)
-    return PotentialReport(value=value, gradient=grad, lyapunov=lyap)
+    return PotentialReport(value=potential_value(x, g, mu, alpha),
+                           gradient=grad, lyapunov=lyap)
 
 
 def potential_value(x, g: Graph, mu, alpha: float) -> float:
@@ -169,11 +174,14 @@ def potential_value(x, g: Graph, mu, alpha: float) -> float:
     return float(f @ (g.adjacency_bool @ f)) / (2.0 * alpha)
 
 
+# The two right-hand sides run once per RK4 stage, so they validate once and
+# evaluate only the gradient, not the whole potential report.
 def replicator_rhs(z, g: Graph, mu, alpha: float) -> np.ndarray:
     """Growth-rate dynamics zdot_i = z_i (phi_i - sum_j z_j phi_j)."""
-    rep = potential(z, g, mu, alpha)
-    z = np.asarray(z, dtype=float)
-    return z * (rep.gradient - float(z @ rep.gradient))
+    alpha = _check_alpha(alpha)
+    z = _as_interior(z, g.m)
+    phi = _gradient(z, g, mu, alpha)
+    return z * (phi - float(z @ phi))
 
 
 def scaled_rhs(x, g: Graph, mu, alpha: float) -> np.ndarray:
@@ -182,9 +190,9 @@ def scaled_rhs(x, g: Graph, mu, alpha: float) -> np.ndarray:
     This is also h(x) - x for the stationary fixed-point map h, so its sup
     norm doubles as the fixed-point residual.
     """
-    rep = potential(x, g, mu, alpha)
-    x = np.asarray(x, dtype=float)
-    v = x * rep.gradient
+    alpha = _check_alpha(alpha)
+    x = _as_interior(x, g.m)
+    v = x * _gradient(x, g, mu, alpha)
     return v / v.sum() - x
 
 

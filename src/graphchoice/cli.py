@@ -23,10 +23,20 @@ from .harness import ConfigError
 
 
 def _parse_floats(text: str) -> np.ndarray:
+    """A comma-separated list of positive finite numbers (every list option
+    holds rewards, exponents or interior probabilities)."""
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        values = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ConfigError(f"cannot parse float list {text!r}") from exc
+    if not (0.0 < values.min() and values.max() < np.inf):
+        raise ConfigError(f"float list {text!r} must be positive and finite")
+    return values
+
+
+def _require_positive(value: float, flag: str) -> None:
+    if not 0.0 < value < np.inf:  # False on NaN too
+        raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
 
 
 def _emit(obj) -> None:
@@ -98,6 +108,7 @@ def _cmd_analyze(args) -> int:
         eps = args.eps
         if m_i is None or eps is None:
             raise ConfigError("eigenbound needs --mi and --eps")
+        _require_positive(eps, "--eps")
         if args.p is not None:
             p = _parse_floats(args.p)
         else:  # the worst-case corner of the floored simplex
@@ -119,7 +130,7 @@ def _cmd_analyze(args) -> int:
         if not args.alphas:
             raise ConfigError("concentration needs --alphas")
         entries = analysis.alpha_concentration_check(
-            g, mu, [float(a) for a in args.alphas.split(",")],
+            g, mu, _parse_floats(args.alphas),
             z0=_parse_floats(args.x) if args.x else None)
         _emit({"kind": kind,
                "optimal_nodes": [int(i) + 1 for i in analysis.optimal_set(mu)],
@@ -133,6 +144,7 @@ def _cmd_analyze(args) -> int:
     alpha = args.alpha
     if alpha is None:
         raise ConfigError(f"{kind} needs --alpha")
+    _require_positive(alpha, "--alpha")
 
     if kind == "fixedpoint":
         complete = bool(g.adjacency_bool.all())

@@ -10,7 +10,9 @@ budget. Runs are written one directory per seed:
 
 Summaries are computed by reading the persisted trajectory files back, so
 they are reproducible from the artifacts alone. Everything is deterministic
-given (config, seeds): rerunning produces byte-identical files.
+given (config, seeds): rerunning produces byte-identical files. Each file
+is written under a temporary name beside it and renamed into place, so an
+interrupted run leaves the previous file whole.
 """
 from __future__ import annotations
 
@@ -327,17 +329,37 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
     for traj in trajs:
         seed_dir = os.path.join(exp_dir, str(traj.seed))
         os.makedirs(seed_dir, exist_ok=True)
-        traj.to_csv(os.path.join(seed_dir, "trajectory.csv"))
-        with open(os.path.join(seed_dir, "meta.json"), "w") as fh:
-            json.dump({**meta_common, "seed": traj.seed}, fh, indent=1,
-                      sort_keys=True)
-            fh.write("\n")
+        _replace_atomically(os.path.join(seed_dir, "trajectory.csv"),
+                            traj.to_csv)
+        _write_json_atomically(os.path.join(seed_dir, "meta.json"),
+                               {**meta_common, "seed": traj.seed})
     summary = summarize_from_disk(cfg, exp_dir)
     if seed_override is None:
-        with open(os.path.join(exp_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json_atomically(os.path.join(exp_dir, "summary.json"), summary)
     return summary
+
+
+def _replace_atomically(path: str, write) -> None:
+    """Call `write(tmp)` on a temporary path beside `path`, then rename it
+    over `path`: a reader sees the old file or the new one, never a part."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_json_atomically(path: str, doc: dict) -> None:
+    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+    def write(tmp: str) -> None:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+
+    _replace_atomically(path, write)
 
 
 def compare_experiments(cfgs: list[ExperimentConfig]):

@@ -55,11 +55,30 @@ def test_limit_kernel_rows_stochastic_and_patterned():
 def test_boundary_points_rejected():
     g = graphs.make_linear(3)
     x = np.array([0.5, 0.5, 0.0])
-    for fn in (analysis.limit_kernel, analysis.stationary_closed_form,
-               analysis.potential, analysis.replicator_rhs,
-               analysis.scaled_rhs):
+    inner = np.full(3, 1 / 3)
+    nan, inf = float("nan"), float("inf")
+    point_fns = (analysis.limit_kernel, analysis.stationary_closed_form,
+                 analysis.potential, analysis.replicator_rhs,
+                 analysis.scaled_rhs)
+    for fn in point_fns:
         with pytest.raises(ValueError):
             fn(x, g, np.ones(3), 1.0)
+        for bad in ([0.5, nan, 0.5], [0.5, inf, 0.5], [-inf, 0.5, 0.5]):
+            with pytest.raises(ValueError):
+                fn(np.array(bad), g, np.ones(3), 1.0)
+        for alpha in (nan, inf, -inf, -1.0, 0.0):
+            with pytest.raises(ValueError):
+                fn(inner, g, np.ones(3), alpha)
+    # the two functions that read the rewards validate them too
+    for fn in (analysis.limit_kernel, analysis.stationary_closed_form):
+        for mu in ([2.0, nan, 1.0], [2.0, inf, 1.0], [2.0, 0.0, 1.0]):
+            with pytest.raises(ValueError):
+                fn(inner, g, np.array(mu), 1.0)
+    with pytest.raises(ValueError):
+        analysis.find_fixed_point(g, np.ones(3), inf)
+    with pytest.raises(ValueError):
+        analysis.integrate_replicator(np.array([0.5, nan, 0.5]), g,
+                                      np.ones(3), 1.0)
 
 
 # ------------------------------------------------------------- stationary
@@ -177,6 +196,42 @@ def test_rhs_zero_at_symmetric_point():
     g = graphs.make_complete(4)
     v = analysis.replicator_rhs(np.full(4, 0.25), g, np.ones(4), 1.5)
     assert np.abs(v).max() < 1e-15
+
+
+def test_rhs_arithmetic_matches_the_potential_gradient():
+    # the right-hand sides evaluate the gradient themselves; pin them, bit for
+    # bit, to the formulas written with potential()'s gradient
+    rng = np.random.default_rng(18)
+    for _ in range(50):
+        g, mu, z, alpha = random_instance(rng)
+        grad = analysis.potential(z, g, mu, alpha).gradient
+        assert np.array_equal(analysis.replicator_rhs(z, g, mu, alpha),
+                              z * (grad - z @ grad))
+        v = z * grad
+        assert np.array_equal(analysis.scaled_rhs(z, g, mu, alpha),
+                              v / v.sum() - z)
+
+
+def test_rk4_window_halves_the_step_when_a_stage_leaves_the_simplex():
+    g = graphs.make_complete(3)
+    raised = []
+
+    def rhs(v):
+        try:
+            return analysis.replicator_rhs(v, g, np.array([2.0, 1.0, 1.0]), 2.0)
+        except ValueError:
+            raised.append(v)
+            raise
+
+    z0 = np.array([0.98, 0.01, 0.01])
+    path, h = analysis._rk4_window(rhs, z0, 4.0, 5, 1e-6)
+    assert h == 0.0625
+    assert raised  # a stage point left the simplex and was rejected
+    assert path.shape == (6, 3)
+    assert (path > 0.0).all()
+    assert np.abs(path.sum(axis=1) - 1.0).max() < 1e-12
+    with pytest.raises(RuntimeError):
+        analysis._rk4_window(rhs, z0, 4.0, 5, 1.0)
 
 
 def test_unconstrained_point_is_a_fixed_point():

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from graphchoice import cli, graphs, harness
+from graphchoice import cli, graphs, harness, walk
 from graphchoice.harness import ConfigError
 
 
@@ -149,6 +149,27 @@ def test_seed_override_runs_single_seed(tmp_path):
     assert open(path, "rb").read() == before
 
 
+def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):
+    cfg = harness.parse_config(mini_config())
+    out = str(tmp_path / "runs")
+    harness.run_experiment(cfg, out)
+    seed_dir = os.path.join(out, "mini", "5")
+    path = os.path.join(seed_dir, "trajectory.csv")
+    before = open(path, "rb").read()
+    listing = sorted(os.listdir(seed_dir))
+
+    def half_write(self, target):
+        with open(target, "w") as fh:
+            fh.write("n,xi,eps,alpha\n0,")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(walk.Trajectory, "to_csv", half_write)
+    with pytest.raises(OSError):
+        harness.run_experiment(cfg, out)
+    assert open(path, "rb").read() == before
+    assert sorted(os.listdir(seed_dir)) == listing
+
+
 def test_all_algorithms_run(tmp_path):
     for algo in ("reinforced", "sa", "greedy"):
         cfg = harness.parse_config(mini_config(name=f"mini_{algo}",
@@ -212,6 +233,15 @@ def test_cli_out_of_range_acceptance_node_exits_2_before_running(tmp_path,
                      "--out", out]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not os.path.exists(out)
+
+
+def test_cli_analyze_non_finite_alpha_exits_2(capsys):
+    rc = cli.main(["analyze", "--kind", "stationary", "--graph", "linear:3",
+                   "--mu", "2,1,1", "--alpha", "nan"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "config"
 
 
 def test_cli_missing_config_exits_2(capsys):
