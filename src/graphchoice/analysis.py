@@ -161,6 +161,7 @@ def _gradient(x: np.ndarray, g: Graph, mu, alpha: float) -> np.ndarray:
 def potential(x, g: Graph, mu, alpha: float) -> PotentialReport:
     alpha = _check_alpha(alpha)
     x = _as_interior(x, g.m)
+    mu = _as_rewards(mu, g.m)
     grad = _gradient(x, g, mu, alpha)
     mean = float(x @ grad)
     lyap = float(x @ (grad - mean) ** 2)
@@ -170,7 +171,7 @@ def potential(x, g: Graph, mu, alpha: float) -> PotentialReport:
 
 def potential_value(x, g: Graph, mu, alpha: float) -> float:
     """Psi alone, usable off the simplex (finite-difference probes)."""
-    f = pref_weights(np.asarray(x, float), mu, alpha)
+    f = pref_weights(np.asarray(x, float), _as_rewards(mu, g.m), alpha)
     return float(f @ (g.adjacency_bool @ f)) / (2.0 * alpha)
 
 
@@ -241,6 +242,7 @@ def integrate_replicator(z0, g: Graph, mu, alpha: float, dt: float = 0.01,
     """
     alpha = _check_alpha(alpha)
     z = _as_interior(z0, g.m).copy()
+    mu = _as_rewards(mu, g.m)
     path, _ = _rk4_window(lambda v: replicator_rhs(v, g, mu, alpha),
                           z, float(dt), int(steps), dt_min)
     return path
@@ -275,6 +277,7 @@ def find_fixed_point(g: Graph, mu, alpha: float, z0=None, dt: float = 0.02,
     if z0 is None:
         z0 = np.full(g.m, 1.0 / g.m)
     z = _as_interior(z0, g.m).copy()
+    mu = _as_rewards(mu, g.m)
     if dynamics == "replicator":
         rhs = lambda v: replicator_rhs(v, g, mu, alpha)
     elif dynamics == "scaled":
@@ -358,7 +361,7 @@ def epsilon_perturbation(mu, alpha: float, eps: float, damping: float = 0.5,
     alpha = _check_alpha(alpha)
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must be in [0, 1]")
-    mu = np.asarray(mu, dtype=float)
+    mu = _as_rewards(mu, np.size(mu))
     m = mu.size
     logw = alpha * np.log(mu)
     share = np.exp(logw - logw.max())
@@ -402,6 +405,7 @@ def alpha_concentration_check(g: Graph, mu, alpha_list, z0=None,
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha_list must be strictly increasing")
     fp_kwargs.setdefault("dynamics", "scaled")
+    mu = _as_rewards(mu, g.m)
     d = optimal_set(mu)
     out = []
     for a in alphas:
@@ -436,7 +440,8 @@ def covariance_eigen_bound(p, eps: float, m_i: int | None = None) -> EigenBoundR
     if m_i is None:
         m_i = p.size
     if p.size != m_i or m_i < 2:
-        raise ValueError("p must have length m_i >= 2")
+        raise ValueError(f"p must have length m_i >= 2 (length {p.size}, "
+                         f"m_i = {m_i})")
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must be in (0, 1]")
     if abs(p.sum() - 1.0) > 1e-9:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
+from .schedules import exact_log
 from .walk import (RewardModel, Trajectory, WalkRng, _run_engine,
                    _sample_rows, _scatter, _slot_row, observe_and_update_mean)
 
@@ -170,12 +171,13 @@ def run_sa_batch(g: Graph, rm: RewardModel, cfg: SAConfig, n_steps: int,
                  seeds, record_stride: int = 1, start=None) -> list[Trajectory]:
     """Seeded annealing runs, one per seed, sharing (g, rm, cfg)."""
     def plan(n_steps):
-        temps = [sa_temperature(n, cfg) for n in range(1, n_steps + 1)]
-        alpha = np.array([0.0] + [1.0 / temp for temp in temps])
+        with np.errstate(divide="ignore"):  # sa_temperature(n); T_0 = inf
+            temp = cfg.gamma / exact_log(1, n_steps + 2)
+        alpha = 1.0 / temp
 
         def kernel(t, S, mu_hat, at, nbr, unif):
             return _sa_slots(mu_hat.take(nbr), mu_hat.take(at),
-                             nbr == at[:, None], unif, temps[t])
+                             nbr == at[:, None], unif, temp[t + 1])
         return kernel, np.zeros(n_steps + 1), alpha, None
 
     return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)
@@ -186,8 +188,9 @@ def run_greedy_batch(g: Graph, rm: RewardModel, cfg: GreedyConfig,
                      start=None) -> list[Trajectory]:
     """Seeded epsilon-greedy runs, one per seed, sharing (g, rm, cfg)."""
     def plan(n_steps):
-        eps = np.array([0.0] + [greedy_epsilon(n, cfg)
-                                for n in range(1, n_steps + 1)])
+        eps = np.zeros(n_steps + 1)  # greedy_epsilon(n) for n >= 1
+        eps[1:] = (1.0 / np.arange(1, n_steps + 1)
+                   if cfg.eps_mode == "one_over_n" else cfg.eps_value)
 
         def kernel(t, S, mu_hat, at, nbr, unif):
             return _greedy_slots(mu_hat.take(nbr), unif, eps[t + 1])

@@ -109,12 +109,17 @@ def _cmd_analyze(args) -> int:
         if m_i is None or eps is None:
             raise ConfigError("eigenbound needs --mi and --eps")
         _require_positive(eps, "--eps")
+        if m_i < 2:
+            raise ConfigError(f"--mi must be at least 2, got {m_i}")
         if args.p is not None:
             p = _parse_floats(args.p)
         else:  # the worst-case corner of the floored simplex
             p = np.full(m_i, eps / m_i)
             p[0] = 1.0 - (m_i - 1) * eps / m_i
-        res = analysis.covariance_eigen_bound(p, eps, m_i)
+        try:
+            res = analysis.covariance_eigen_bound(p, eps, m_i)
+        except ValueError as exc:  # bad arguments; RuntimeError stays exit 3
+            raise ConfigError(str(exc)) from exc
         _emit({"kind": kind, "p": p, "lam_min": res.lam_min,
                "bound": res.bound, "margin": res.margin})
         return 0

@@ -85,9 +85,6 @@ class Graph:
         """Sorted successor ids of node i, both 1-based."""
         return tuple(j + 1 for j in self.nbrs[i - 1])
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (j - 1) in self.nbrs[i - 1]
-
 
 def _graph_from_sets(m: int, succ: list[set[int]]) -> Graph:
     return Graph(m, tuple(tuple(sorted(s)) for s in succ))

@@ -118,26 +118,22 @@ def explicit_log_eps(n: int) -> float:
     return min(1.0, 1.0 / math.log(n + 1))
 
 
-def _eps_next(n: int, eps: float, cfg: ScheduleConfig) -> float:
-    """Scalar core of step_epsilon: eps(n+1) from (n, eps(n)).
+def step_epsilon(state: ScheduleState, cfg: ScheduleConfig) -> float:
+    """Exploration probability at step n+1 given the state at step n.
 
     The decay clock starts after the hold, so the recursion always applies
     its early (large) factors first regardless of eps_hold.
     """
+    n = state.n
     if cfg.c_mode == "explicit_log":
         nxt = explicit_log_eps(n + 1)
     elif n < cfg.eps_hold + 1:
-        nxt = eps
+        nxt = state.eps
     elif cfg.c_mode == "constant":
-        nxt = (1.0 - cfg.c_const) * eps
+        nxt = (1.0 - cfg.c_const) * state.eps
     else:
-        nxt = (1.0 - default_c(n - cfg.eps_hold)) * eps
+        nxt = (1.0 - default_c(n - cfg.eps_hold)) * state.eps
     return max(nxt, cfg.eps_floor)
-
-
-def step_epsilon(state: ScheduleState, cfg: ScheduleConfig) -> float:
-    """Exploration probability at step n+1 given the state at step n."""
-    return _eps_next(state.n, state.eps, cfg)
 
 
 def _cooling_b(n: int, cfg: ScheduleConfig) -> float:
@@ -172,70 +168,70 @@ def advance(state: ScheduleState, cfg: ScheduleConfig) -> ScheduleState:
     return ScheduleState(n=state.n + 1, eps=eps, temp=temp)
 
 
-def schedule_arrays(cfg: ScheduleConfig, n_steps: int):
-    """(eps, alpha, temp) for n = 0..n_steps, exactly matching `advance`.
+def exact_log(lo: int, hi: int) -> np.ndarray:
+    """math.log(k) for the integers k = lo..hi-1.
 
-    Built by the same scalar recurrences (temp is the multiplicatively
-    maintained primary, alpha its reciprocal), so simulation engines can
-    index into precomputed schedules and still agree bit for bit with
-    stepwise updates.
+    Not np.log: it differs from math.log, which the scalar functions use, in
+    the last bit at some integers (9170, 19143 and 94869 below 1e5).
     """
-    eps = np.empty(n_steps + 1)
-    alpha = np.empty(n_steps + 1)
-    temps = np.empty(n_steps + 1)
-    st = initial_state(cfg)
-    e, temp = st.eps, st.temp
-    eps[0], alpha[0], temps[0] = e, 1.0 / temp, temp
-    for n in range(n_steps):
-        e = _eps_next(n, e, cfg)
-        temp = (1.0 - _cooling_b(n, cfg)) * temp
-        eps[n + 1] = e
-        alpha[n + 1] = 1.0 / temp
-        temps[n + 1] = temp
-    return eps, alpha, temps
+    return np.fromiter(map(math.log, range(lo, hi)), float, hi - lo)
 
 
-def epsilon_chunks(cfg: ScheduleConfig, n_max: int, chunk: int = 1 << 16,
-                   eps_override=None):
-    """Yield (n_array, eps_array) covering n = 0..n_max in order.
+def _products(carry: float, j0: int, j1: int, first: int, rate) -> np.ndarray:
+    """carry times the running products of the factors 1 - rate(s, j1) of the
+    steps j = s..j1-1, s = max(j0, first); the steps before s have factor 1."""
+    f = np.ones(j1 - j0)
+    s = min(max(j0, first), j1)
+    f[s - j0:] = 1.0 - rate(s, j1)
+    f[0] *= carry
+    return np.multiply.accumulate(f)  # in order, as the scalar loop multiplies
 
-    Vectorized enough to sweep 1e7 steps in well under a second, which the
-    asymptotics diagnostics need. `eps_override(n_array)` replaces the
-    configured sequence when diagnosing an external schedule.
+
+def schedule_chunks(cfg: ScheduleConfig, n_max: int, chunk: int = 1 << 16):
+    """Yield (ns, eps, temp) blocks covering n = 0..n_max in order.
+
+    The one schedule source, bit-identical to stepping `advance` from
+    `initial_state`. temp, and eps in the recursive modes, are running
+    products of the per-step factors of `step_temperature` and
+    `step_epsilon`, carried from block to block. The eps floor is applied
+    after the product. That is exact because eps never increases, so once
+    clamped the recurrence stays at the floor. eps(0) is not clamped, as in
+    `advance`.
     """
-    if eps_override is not None:
-        for lo in range(0, n_max + 1, chunk):
-            ns = np.arange(lo, min(lo + chunk, n_max + 1), dtype=np.int64)
-            yield ns, np.asarray(eps_override(ns), dtype=float)
-        return
-
-    if cfg.c_mode == "explicit_log":
-        for lo in range(0, n_max + 1, chunk):
-            ns = np.arange(lo, min(lo + chunk, n_max + 1), dtype=np.int64)
-            with np.errstate(divide="ignore"):
-                eps = np.minimum(1.0, 1.0 / np.log(ns + 1.0))
-            yield ns, np.maximum(eps, cfg.eps_floor)
-        return
-
+    klogk = lambda k0, k1: np.arange(k0, k1) * exact_log(k0, k1)
     hold = cfg.eps_hold
     if cfg.c_mode == "constant":
-        q = 1.0 - cfg.c_const
-        for lo in range(0, n_max + 1, chunk):
-            ns = np.arange(lo, min(lo + chunk, n_max + 1), dtype=np.int64)
-            expo = np.maximum(ns - hold - 1, 0).astype(float)
-            yield ns, np.maximum(cfg.epsilon0 * q ** expo, cfg.eps_floor)
-        return
-
-    # recursion mode: eps(n) = epsilon0 * prod_{j=1}^{n-1-hold} (1 - c(j))
-    log_eps_last = math.log(cfg.epsilon0)
+        eps_rate = lambda s, e: np.full(e - s, cfg.c_const)
+    else:  # default_c(j - hold)
+        eps_rate = lambda s, e: 1.0 / (1.0 + klogk(s - hold + 1, e - hold + 1))
+    cool_from = max(2, cfg.burn_in) if cfg.alpha_mode == "cooled" else n_max
+    cool_rate = lambda s, e: np.minimum(_COOL_B_MAX, cfg.cool_scale / klogk(s, e))
+    st = initial_state(cfg)
+    raw, temp = [st.eps], [st.temp]  # the unclamped products at n = lo - 1
     for lo in range(0, n_max + 1, chunk):
-        ns = np.arange(lo, min(lo + chunk, n_max + 1), dtype=np.int64)
-        js = np.maximum(ns - 1 - hold, 1).astype(float)
-        logfac = np.log1p(-1.0 / (1.0 + (js + 1) * np.log(js + 1)))
-        logfac[ns - 1 - hold < 1] = 0.0
-        log_eps = log_eps_last + np.cumsum(logfac)
-        yield ns, np.maximum(np.exp(log_eps), cfg.eps_floor)
-        log_eps_last = float(log_eps[-1])
+        hi = min(lo + chunk, n_max + 1)
+        # steps lo-1..hi-2 lead to n = lo..hi-1; "step -1" has factor 1
+        temp = _products(temp[-1], lo - 1, hi - 1, cool_from, cool_rate)
+        if cfg.c_mode == "explicit_log":
+            with np.errstate(divide="ignore"):  # n = 0: 1/log(1) = inf -> 1
+                raw = np.minimum(1.0, 1.0 / exact_log(lo + 1, hi + 1))
+        else:
+            raw = _products(raw[-1], lo - 1, hi - 1, hold + 1, eps_rate)
+        eps = np.maximum(raw, cfg.eps_floor)
+        if lo == 0:
+            eps[0] = raw[0]
+        yield np.arange(lo, hi), eps, temp
+
+
+def schedule_arrays(cfg: ScheduleConfig, n_steps: int):
+    """(eps, alpha, temp) for n = 0..n_steps: `schedule_chunks` in one block.
+
+    temp is the multiplicatively maintained primary and alpha its
+    reciprocal, as in `advance`, so the engines index these arrays and still
+    agree bit for bit with stepwise updates.
+    """
+    ((_, eps, temp),) = schedule_chunks(cfg, n_steps, chunk=n_steps + 1)
+    return eps, 1.0 / temp, temp
 
 
 @dataclass
@@ -262,11 +258,11 @@ class ConditionReport:
         return [f"{c.name}: {c.note}" for c in self.checks if not c.satisfied]
 
 
-def verify_conditions(cfg: ScheduleConfig, n_max: int, m: int = 4,
-                      eps_override=None) -> ConditionReport:
+def verify_conditions(cfg: ScheduleConfig, n_max: int,
+                      m: int = 4) -> ConditionReport:
     """Numeric trend report for the schedule admissibility conditions.
 
-    Every check reads the sequence a run actually uses, as `epsilon_chunks`
+    Every check reads the sequence a run actually uses, as `schedule_chunks`
     yields it (floor and hold included); c(n) = 1 - eps(n+1)/eps(n) is
     derived from that sequence. Checks, up to n_max (diagnostic, not a proof):
       eps_to_zero     eps(n) still decreasing over the last decade, or 0
@@ -293,7 +289,7 @@ def verify_conditions(cfg: ScheduleConfig, n_max: int, m: int = 4,
 
     eps_at, sum_eps_m, sum_a_eps = {}, {}, {}
     run_m = run_a = 0.0
-    for ns, eps in epsilon_chunks(cfg, n_max + 1, eps_override=eps_override):
+    for ns, eps, _ in schedule_chunks(cfg, n_max + 1):
         live = (ns >= 1) & (ns <= n_max)
         cum_m = run_m + np.cumsum(np.where(live, eps ** m, 0.0))
         cum_a = run_a + np.cumsum(np.where(live, eps / (ns + 1.0), 0.0))

@@ -218,7 +218,7 @@ def test_criterion_09_covariance_eigenvalue_bound():
 def test_criterion_10_exploration_decay_band():
     cfg = schedules.ScheduleConfig(c_mode="recursion_example", epsilon0=1.0)
     lo, hi = np.inf, -np.inf
-    for ns, eps in schedules.epsilon_chunks(cfg, 10**7):
+    for ns, eps, _ in schedules.schedule_chunks(cfg, 10**7):
         mask = ns >= 100
         if mask.any():
             band = eps[mask] * np.log(ns[mask])

@@ -69,8 +69,15 @@ def test_boundary_points_rejected():
         for alpha in (nan, inf, -inf, -1.0, 0.0):
             with pytest.raises(ValueError):
                 fn(inner, g, np.ones(3), alpha)
-    # the two functions that read the rewards validate them too
-    for fn in (analysis.limit_kernel, analysis.stationary_closed_form):
+    # every function that reads the rewards validates them once at entry
+    reward_fns = (
+        analysis.limit_kernel, analysis.stationary_closed_form,
+        analysis.potential, analysis.potential_value,
+        lambda x, g, mu, a: analysis.find_fixed_point(g, mu, a, z0=x),
+        analysis.integrate_replicator,
+        lambda x, g, mu, a: analysis.epsilon_perturbation(mu, a, 0.5),
+        lambda x, g, mu, a: analysis.alpha_concentration_check(g, mu, [a]))
+    for fn in reward_fns:
         for mu in ([2.0, nan, 1.0], [2.0, inf, 1.0], [2.0, 0.0, 1.0]):
             with pytest.raises(ValueError):
                 fn(inner, g, np.array(mu), 1.0)

@@ -108,15 +108,17 @@ def test_baseline_batches_match_stepwise_loops():
     mu = np.array([2.0, 0.25, 0.5, 1.0])
     rm = walk.RewardModel(mu=mu, noise_std=0.3)
 
-    sa_cfg = baselines.SAConfig()
-    traj = baselines.run_sa_batch(g, rm, sa_cfg, 400, [9], record_stride=400,
-                                  start=4)[0]
-    st = baselines.SAState.initial(g, 4)
-    rng = walk.WalkRng(9)
-    for _ in range(400):
-        st = baselines.sa_step(st, g, rm, sa_cfg, rng)
-    assert st.current == traj.nodes[-1]
-    assert np.array_equal(st.counts / 400.0, traj.xs[-1])
+    # at gamma = 5 the temperature shapes every row, so a batch reading
+    # T_n one step off would move away from the stepwise loop
+    for sa_cfg in (baselines.SAConfig(), baselines.SAConfig(gamma=5.0)):
+        traj = baselines.run_sa_batch(g, rm, sa_cfg, 400, [9],
+                                      record_stride=400, start=4)[0]
+        st = baselines.SAState.initial(g, 4)
+        rng = walk.WalkRng(9)
+        for _ in range(400):
+            st = baselines.sa_step(st, g, rm, sa_cfg, rng)
+        assert st.current == traj.nodes[-1]
+        assert np.array_equal(st.counts / 400.0, traj.xs[-1])
 
     gr_cfg = baselines.GreedyConfig()
     traj = baselines.run_greedy_batch(g, rm, gr_cfg, 400, [9],
@@ -127,6 +129,27 @@ def test_baseline_batches_match_stepwise_loops():
         st = baselines.greedy_step(st, g, rm, gr_cfg, rng)
     assert st.current == traj.nodes[-1]
     assert np.array_equal(st.counts / 400.0, traj.xs[-1])
+
+
+def test_baseline_schedule_columns_match_scalar_schedules(monkeypatch):
+    # the recorded columns come from whole-array formulas; they must equal
+    # the scalar schedules exactly at every n up to 1e5
+    monkeypatch.setattr(baselines, "_run_engine",
+                        lambda g, rm, n_steps, *args: args[-1](n_steps))
+    g = graphs.make_linear(4)
+    rm = walk.RewardModel(mu=np.ones(4))
+    ns = range(1, 10**5 + 1)
+    sa_cfg = baselines.SAConfig(gamma=0.3)
+    _, eps, alpha, _ = baselines.run_sa_batch(g, rm, sa_cfg, 10**5, [1])
+    assert not eps.any() and alpha[0] == 0.0
+    assert np.array_equal(alpha[1:], [1.0 / baselines.sa_temperature(n, sa_cfg)
+                                      for n in ns])
+    for gr_cfg in (baselines.GreedyConfig(),
+                   baselines.GreedyConfig(eps_mode="constant", eps_value=0.3)):
+        _, eps, alpha, _ = baselines.run_greedy_batch(g, rm, gr_cfg, 10**5, [1])
+        assert not alpha.any() and eps[0] == 0.0
+        assert np.array_equal(eps[1:], [baselines.greedy_epsilon(n, gr_cfg)
+                                        for n in ns])
 
 
 def test_baselines_move_along_edges_only():

@@ -297,6 +297,17 @@ def test_cli_analyze_eigenbound_equality(capsys):
     assert doc["lam_min"] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_cli_analyze_eigenbound_bad_arguments_exit_2(capsys):
+    for extra in (["--mi", "1", "--eps", "0.5"],
+                  ["--mi", "2", "--eps", "2"],
+                  ["--mi", "3", "--eps", "0.5", "--p", "0.5,0.5"],
+                  ["--mi", "3", "--eps", "0.5", "--p", "0.5,0.3,0.3"]):
+        assert cli.main(["analyze", "--kind", "eigenbound", *extra]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == "config"
+
+
 def test_cli_analyze_potential(capsys):
     rc = cli.main(["analyze", "--kind", "potential", "--graph", "complete:2",
                    "--mu", "1,1", "--alpha", "1.0", "--x", "0.5,0.5"])

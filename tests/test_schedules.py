@@ -105,7 +105,7 @@ def test_log_decay_band_up_to_1e6():
     # lives in the acceptance suite)
     cfg = ScheduleConfig(c_mode="recursion_example", epsilon0=1.0)
     lo, hi = np.inf, -np.inf
-    for ns, eps in schedules.epsilon_chunks(cfg, 10**6):
+    for ns, eps, _ in schedules.schedule_chunks(cfg, 10**6):
         mask = ns >= 100
         if mask.any():
             band = eps[mask] * np.log(ns[mask])
@@ -114,30 +114,72 @@ def test_log_decay_band_up_to_1e6():
     assert 0.1 < lo <= hi < 10.0
 
 
+def stepped(cfg, n_steps):
+    """(eps, alpha, temp) for n = 0..n_steps by stepping the scalar `advance`."""
+    out = np.empty((3, n_steps + 1))
+    st = schedules.initial_state(cfg)
+    for n in range(n_steps + 1):
+        out[:, n] = st.eps, st.alpha, st.temp
+        st = schedules.advance(st, cfg)
+    return out
+
+
 def test_schedule_arrays_match_stepwise_advance():
-    for cfg in (ScheduleConfig(c_mode="recursion_example", alpha_mode="cooled",
-                               burn_in=10, cool_scale=1.6),
+    # 1e5 steps reach integers where np.log and math.log differ in the last
+    # bit: log(9170) and log(94869) enter explicit-log eps at n = 9169 and
+    # 94868, and the three cooled configs take logs of every n
+    for cfg in (ScheduleConfig(c_mode="recursion_example", epsilon0=0.5,
+                               eps_hold=64, eps_floor=0.04,
+                               alpha_mode="cooled", burn_in=10, cool_scale=1.6),
                 ScheduleConfig(c_mode="constant", c_const=0.05, eps_hold=30,
-                               eps_floor=0.01, alpha_mode="fixed", T0=2.0),
-                ScheduleConfig(c_mode="explicit_log")):
-        eps, alpha, temp = schedules.schedule_arrays(cfg, 400)
-        st = schedules.initial_state(cfg)
-        for n in range(401):
-            assert st.eps == eps[n]
-            assert st.alpha == alpha[n]
-            assert st.temp == temp[n]
-            st = schedules.advance(st, cfg)
+                               eps_floor=0.01, alpha_mode="cooled", burn_in=3,
+                               alpha_burn=0.02, cool_scale=1.6),
+                ScheduleConfig(c_mode="explicit_log", eps_floor=0.05,
+                               alpha_mode="cooled", burn_in=4, cool_scale=2.4),
+                ScheduleConfig(c_mode="constant", c_const=0.05, eps_hold=30,
+                               eps_floor=0.01, alpha_mode="fixed", T0=2.0)):
+        ref = stepped(cfg, 10**5)
+        for got, want in zip(schedules.schedule_arrays(cfg, 10**5), ref):
+            assert np.array_equal(got, want)
 
 
 def test_epsilon_chunks_match_scalar_recursion():
+    # small blocks carry the running products across many block boundaries
     for cfg in (ScheduleConfig(c_mode="recursion_example", epsilon0=0.5,
                                eps_hold=64, eps_floor=0.01),
-                ScheduleConfig(c_mode="constant", c_const=0.2, eps_hold=10),
+                ScheduleConfig(c_mode="constant", c_const=0.2, eps_hold=10,
+                               alpha_mode="cooled", burn_in=40),
+                # eps(0) below the floor: advance clamps only from n = 1 on
+                ScheduleConfig(c_mode="constant", c_const=0.2, epsilon0=0.01,
+                               eps_floor=0.02),
                 ScheduleConfig(c_mode="explicit_log")):
-        scalar, _, _ = schedules.schedule_arrays(cfg, 300)
-        chunked = np.concatenate(
-            [eps for _, eps in schedules.epsilon_chunks(cfg, 300, chunk=37)])
-        assert np.allclose(chunked, scalar, rtol=1e-12, atol=0)
+        blocks = list(schedules.schedule_chunks(cfg, 300, chunk=37))
+        ref = stepped(cfg, 300)
+        assert np.array_equal(np.concatenate([b[0] for b in blocks]),
+                              np.arange(301))
+        assert np.array_equal(np.concatenate([b[1] for b in blocks]), ref[0])
+        assert np.array_equal(np.concatenate([b[2] for b in blocks]), ref[2])
+
+
+def test_verify_conditions_reads_the_run_schedule(monkeypatch):
+    # the eps the diagnostics sweep is, bit for bit, the eps a run indexes
+    swept = []
+    chunks = schedules.schedule_chunks
+
+    def recording(cfg, n_max, chunk=1 << 16):
+        for block in chunks(cfg, n_max, chunk):
+            swept.append(block[1])
+            yield block
+
+    monkeypatch.setattr(schedules, "schedule_chunks", recording)
+    for name in harness.bundled_config_names():
+        cfg = harness.load_config(name)
+        if cfg.algorithm != "reinforced":
+            continue
+        eps = schedules.schedule_arrays(cfg.schedule, 10**5)[0]
+        swept.clear()
+        schedules.verify_conditions(cfg.schedule, n_max=10**5)
+        assert np.array_equal(np.concatenate(swept)[:eps.size], eps), name
 
 
 def test_verify_conditions_defaults_ok():
@@ -153,9 +195,9 @@ def test_verify_conditions_flags_constant_c():
 
 
 def test_verify_conditions_flags_one_over_n():
+    # geometric decay, faster than 1/n and still nonzero at every checkpoint
     report = schedules.verify_conditions(
-        ScheduleConfig(), n_max=10**5,
-        eps_override=lambda ns: 1.0 / np.maximum(ns, 1))
+        ScheduleConfig(c_mode="constant", c_const=1e-4), n_max=10**5)
     flagged = {c.name for c in report.checks if not c.satisfied}
     assert "eps_sqrt_n" in flagged
 
