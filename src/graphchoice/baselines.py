@@ -34,7 +34,7 @@ import numpy as np
 
 from .graphs import Graph
 from .schedules import exact_log
-from .walk import (RewardModel, Trajectory, WalkRng, _run_engine,
+from .walk import (Kernel, RewardModel, Trajectory, WalkRng, _run_engine,
                    _sample_rows, _scatter, _slot_row, observe_and_update_mean)
 
 
@@ -130,8 +130,17 @@ def _greedy_slots(mu_hat, unif, eps: float) -> np.ndarray:
     return p
 
 
+def _require_self_loops(g: Graph) -> None:
+    """Annealing leaves its unused mass on the self-loop, so every node needs
+    one: without it the row would not be stochastic."""
+    if g.missing_self_loops:
+        raise ValueError("simulated annealing needs a self-loop at every "
+                         f"node; node {g.missing_self_loops[0]} has none")
+
+
 def sa_transition_row(state: SAState, g: Graph) -> np.ndarray:
     """Single-state annealing kernel row (mostly for inspection and tests)."""
+    _require_self_loops(g)
     nb, unif, mu_hat = _slot_row(g, state.current, state.mu_hat)
     p = _sa_slots(mu_hat, state.mu_hat[[state.current]],
                   (nb == state.current)[None, :], unif, state.temp)
@@ -141,6 +150,7 @@ def sa_transition_row(state: SAState, g: Graph) -> np.ndarray:
 def sa_step(state: SAState, g: Graph, rm: RewardModel, cfg: SAConfig,
             rng: WalkRng) -> SAState:
     """One annealing move; observes the reward of the node moved to."""
+    _require_self_loops(g)  # before the state changes
     state.temp = sa_temperature(state.n + 1, cfg)
     p = sa_transition_row(state, g)
     u = np.array([rng.select.random()])
@@ -170,15 +180,18 @@ def greedy_step(state: GreedyState, g: Graph, rm: RewardModel,
 def run_sa_batch(g: Graph, rm: RewardModel, cfg: SAConfig, n_steps: int,
                  seeds, record_stride: int = 1, start=None) -> list[Trajectory]:
     """Seeded annealing runs, one per seed, sharing (g, rm, cfg)."""
+    _require_self_loops(g)
+
     def plan(n_steps):
         with np.errstate(divide="ignore"):  # sa_temperature(n); T_0 = inf
             temp = cfg.gamma / exact_log(1, n_steps + 2)
         alpha = 1.0 / temp
 
-        def kernel(t, S, mu_hat, at, nbr, unif):
+        def rows(t, S, mu_hat, at, nbr, unif):
             return _sa_slots(mu_hat.take(nbr), mu_hat.take(at),
                              nbr == at[:, None], unif, temp[t + 1])
-        return kernel, np.zeros(n_steps + 1), alpha, None
+        return (Kernel("sa", temp[1:], temp[1:], rows), np.zeros(n_steps + 1),
+                alpha, None)
 
     return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)
 
@@ -192,8 +205,9 @@ def run_greedy_batch(g: Graph, rm: RewardModel, cfg: GreedyConfig,
         eps[1:] = (1.0 / np.arange(1, n_steps + 1)
                    if cfg.eps_mode == "one_over_n" else cfg.eps_value)
 
-        def kernel(t, S, mu_hat, at, nbr, unif):
+        def rows(t, S, mu_hat, at, nbr, unif):
             return _greedy_slots(mu_hat.take(nbr), unif, eps[t + 1])
-        return kernel, eps, np.zeros(n_steps + 1), None
+        return (Kernel("greedy", eps[1:], eps[1:], rows), eps,
+                np.zeros(n_steps + 1), None)
 
     return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)

@@ -62,6 +62,11 @@ class Graph:
         return u
 
     @cached_property
+    def missing_self_loops(self) -> tuple[int, ...]:
+        """1-based ids of the nodes without a self-loop, ascending."""
+        return tuple(i + 1 for i in range(self.m) if i not in self.nbrs[i])
+
+    @cached_property
     def neighbor_slots(self) -> tuple[np.ndarray, np.ndarray]:
         """Padded neighbor table `(ids, uniform)`, both (m, d_max). Read-only.
 
@@ -193,9 +198,7 @@ def validate(g: Graph) -> list[str]:
     issues: list[str] = []
     if g.m < 2:
         issues.append(f"graph has {g.m} node(s), need at least 2")
-    for i in range(g.m):
-        if i not in g.nbrs[i]:
-            issues.append(f"no self-loop at {i + 1}")
+    issues += [f"no self-loop at {i}" for i in g.missing_self_loops]
     for i in range(g.m):
         for j in g.nbrs[i]:
             if i not in g.nbrs[j]:

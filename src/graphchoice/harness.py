@@ -5,7 +5,7 @@ naming a graph, a reward vector, an algorithm, schedules, seeds and a step
 budget. Runs are written one directory per seed:
 
     <out>/<name>/<seed>/trajectory.csv     n,xi,eps,alpha,x_1..x_m
-    <out>/<name>/<seed>/meta.json          seed, config hash, rng protocol
+    <out>/<name>/<seed>/meta.json          seed, config hash, rng protocol, engine
     <out>/<name>/summary.json              per-seed finals + aggregates
 
 Summaries are computed by reading the persisted trajectory files back, so
@@ -324,6 +324,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
         "n_steps": cfg.n_steps,
         "record_stride": cfg.record_stride,
         "rng": walk.WalkRng.ALGORITHM,
+        "engine": walk.engine_name(),
         "package_version": __version__,
     }
     for traj in trajs:

@@ -19,11 +19,17 @@ on N(i), which keeps the kernel stochastic at the start of a run.
 
 Kernels work on neighbor slots, not on all m nodes. `Graph.neighbor_slots`
 lists N(i) in d_max slots padded with the sentinel id m, and the engine keeps
-S and mu_hat as (R, m+1) arrays whose last column stays zero. One gather on
-flat indices row*(m+1) + id reads a step's neighborhoods as (R, d_max) rows; a
-padding slot reads weight 0, so it carries log-weight -inf and probability 0
-without a mask. A step therefore costs O(R*d_max), however large m is; on a
-graph with a node of degree m (complete, star hub) that is O(R*m) again.
+S and mu_hat as (R, m+1) arrays whose last column stays zero. A step reads
+each row's neighborhood through flat indices row*(m+1) + id as a d_max slot
+row; a padding slot reads weight 0, so it carries log-weight -inf and
+probability 0 without a mask. A step therefore costs O(R*d_max), however
+large m is; on a graph with a node of degree m (complete, star hub) that is
+O(R*m) again. The steps run in C: `_engine.c` holds one row kernel per
+algorithm (reinforced, SA, greedy), built at the first engine call and
+called once per block of `_BLOCK` steps for all rows. Where it cannot be
+built (no C compiler, no writable cache directory) the same steps run as a
+numpy loop over all rows at once, with the same arithmetic, so the nodes,
+counts and estimates agree; `engine_name()` says which one runs.
 
 Randomness protocol (recorded in run metadata): each seed expands through
 numpy's SeedSequence into three independent PCG64 streams, [init, select,
@@ -37,6 +43,7 @@ seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -278,21 +285,59 @@ def _resolve_starts(g: Graph, start, rngs: list[WalkRng]) -> np.ndarray:
                     dtype=np.int64)
 
 
+class Kernel(NamedTuple):
+    """One algorithm's move rule in the terms of both engine loops.
+
+    `kind` names the compiled row kernel ("reinforced", "sa" or "greedy")
+    and `a`, `b` are its float64 parameters indexed by the step t: (alpha,
+    eps) for "reinforced", (T, unused) for "sa" and (eps, unused) for
+    "greedy". `rows(t, S, mu_hat, at, nbr, unif)` gives the same (R, d_max)
+    slot rows with numpy, for the fallback loop.
+    """
+
+    kind: str
+    a: np.ndarray
+    b: np.ndarray
+    rows: Callable
+
+
+def engine_name() -> str:
+    """"c" where the compiled row kernels load, "numpy" otherwise."""
+    from . import _engine
+    return "numpy" if _engine.load() is None else "c"
+
+
 def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
                 record_stride: int, start, plan,
                 record_rewards: bool = False) -> list[Trajectory]:
     """The batched loop behind `run_batch` and the baselines' batch runners.
 
-    `plan(n_steps)` returns `(kernel, eps_col, alpha_col, final_sched)`:
-    `kernel(t, S, mu_hat, at, nbr, unif)` gives the (R, d_max) slot rows for
-    step t -> t+1. `S` (int64 visit counts) and `mu_hat` are flat views of
-    (R, m+1) arrays whose column m stays zero, `at` holds the flat index
-    row*(m+1) + cur of each row's current node, `nbr` the (R, d_max) flat
-    indices of its neighbor slots (padding reads column m) and `unif` the
-    matching uniform slot rows. `eps_col`/`alpha_col` are the values recorded
-    at n = 0..n_steps; `final_sched` is the schedule state stored in each
-    `final_state` (None leaves `final_state` unset). x = S/n is formed only at
-    snapshots and for the final state.
+    `plan(n_steps)` returns `(kernel, eps_col, alpha_col, final_sched)`: the
+    `Kernel` for steps t -> t+1, the eps/alpha values recorded at n =
+    0..n_steps, and the schedule state stored in each `final_state` (None
+    leaves `final_state` unset). `S` (int64 visit counts) and `mu_hat` are
+    flat (R, m+1) arrays whose column m stays zero; a step reads each row's
+    neighbor slots through flat indices row*(m+1) + id, padding reading
+    column m. The select/noise streams are drawn in blocks of `_BLOCK` per
+    row; each block runs through the compiled row kernels of `_engine.c` in
+    one call, or, where they cannot be built, through the numpy loop of
+    `_numpy_block`, one step for all rows at a time. Both loops record the node and the S
+    row at each snapshot, and x = S/n is formed from them afterwards.
+
+    The two loops agree operation for operation, so a batch gives the same
+    nodes, S and mu_hat either way:
+      * log and exp: libm in C, numpy's (SIMD) in numpy; they may differ in
+        the last bit, so a node can differ only where u lands within an ulp
+        of a cumsum boundary;
+      * row sums in numpy's pairwise order: sequential below 8 elements,
+        eight accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+        plus a sequential tail up to 128, recursive halving at n/2 rounded
+        down to a multiple of 8 above;
+      * a sequential cumsum and sel = #(u >= cum), a u beyond the last
+        cumsum taking the last slot with positive probability;
+      * SA: exp(-max(drop, 0)/T) * unif, the own slot zeroed, then set to
+        1 - rowsum; greedy: the masked argmax, ties to the lowest slot;
+      * the running mean est + (obs - est)/S, obs = mu + noise_std * z.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -301,69 +346,50 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
     seeds = [int(s) for s in seeds]
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    mu = rm.mu
-    if mu.size != g.m:
+    if rm.mu.size != g.m:
         raise ValueError("reward vector length != node count")
     kernel, eps_col, alpha_col, final_sched = plan(n_steps)
 
     rngs = [WalkRng(s) for s in seeds]
     R, m = len(seeds), g.m
-    ids, uniform = g.neighbor_slots
     cur = _resolve_starts(g, start, rngs)
-    base = np.arange(R) * (m + 1)         # flat index of each row's node 0
-    base_col = base[:, None]
-    slot_base = np.arange(R) * ids.shape[1]
     S = np.zeros(R * (m + 1), dtype=np.int64)
     mu_hat = np.zeros(R * (m + 1))
     S_rows = S.reshape(R, m + 1)[:, :m]
     mu_rows = mu_hat.reshape(R, m + 1)[:, :m]
-    at = base + cur
-    noise_std = rm.noise_std
     U = np.empty((R, _BLOCK))
     Z = np.empty((R, _BLOCK))
-    snaps_n, snaps_node, snaps_x = [], [], []
+    ns = np.arange(0, n_steps + 1, record_stride)
+    if ns[-1] != n_steps:
+        ns = np.append(ns, n_steps)
+    node_mat = np.empty((R, ns.size), dtype=np.int64)  # snapshot j: n = ns[j]
+    S_snap = np.zeros((R, ns.size, m), dtype=np.int64)
+    node_mat[:, 0] = cur
     rewards = np.empty((R, n_steps)) if record_rewards else None
 
-    def snap(n):
-        snaps_n.append(n)
-        snaps_node.append(cur.copy())
-        snaps_x.append(S_rows / n if n > 0 else np.full((R, m), 1.0 / m))
+    from . import _engine  # at the first engine call: importing stays lean
+    buffers = (cur, S, mu_hat, node_mat, S_snap, rewards)
+    run_block = (_engine.compiled_block(g, rm, kernel, n_steps, record_stride,
+                                        *buffers)
+                 or _numpy_block(g, rm, kernel.rows, n_steps, record_stride,
+                                 *buffers))
+    for t0 in range(0, n_steps, _BLOCK):
+        for r in range(R):
+            rngs[r].select.random(out=U[r])
+            rngs[r].noise.standard_normal(out=Z[r])
+        run_block(t0, min(t0 + _BLOCK, n_steps), U, Z)
 
-    snap(0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for t in range(n_steps):
-            k = t % _BLOCK
-            if k == 0:
-                for r in range(R):
-                    rngs[r].select.random(out=U[r])
-                    rngs[r].noise.standard_normal(out=Z[r])
-
-            nb = ids.take(cur, axis=0)
-            slot = _sample_rows(kernel(t, S, mu_hat, at, nb + base_col,
-                                       uniform.take(cur, axis=0)), U[:, k])
-            cur = nb.take(slot_base + slot)
-            at = base + cur
-            S[at] += 1
-            obs = mu.take(cur) + noise_std * Z[:, k]
-            est = mu_hat.take(at)
-            mu_hat[at] = est + (obs - est) / S.take(at)
-            if record_rewards:
-                rewards[:, t] = obs
-
-            n = t + 1
-            if n % record_stride == 0 or n == n_steps:
-                snap(n)
-
-    ns = np.array(snaps_n, dtype=np.int64)
-    node_mat = np.stack(snaps_node, axis=1)   # (R, k)
-    x_mat = np.stack(snaps_x, axis=1)         # (R, k, m)
+    x_mat = np.empty(S_snap.shape)
+    x_mat[:, 0] = 1.0 / m
+    np.divide(S_snap[:, 1:], ns[1:, None], out=x_mat[:, 1:])
+    del S_snap
     eps_snap = eps_col[ns]
     alpha_snap = alpha_col[ns]
 
     out = []
     for r in range(R):
         final = None if final_sched is None else WalkState(
-            n=n_steps, current=int(cur[r]), counts=S_rows[r].copy(),
+            n=n_steps, current=int(node_mat[r, -1]), counts=S_rows[r].copy(),
             x=S_rows[r] / n_steps, mu_hat=mu_rows[r].copy(), sched=final_sched)
         out.append(Trajectory(
             seed=seeds[r], ns=ns.copy(), nodes=node_mat[r].copy(),
@@ -371,6 +397,44 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
             final_state=final,
             rewards=rewards[r].copy() if record_rewards else None))
     return out
+
+
+def _numpy_block(g: Graph, rm: RewardModel, rows, n_steps: int, stride: int,
+                 cur, S, mu_hat, node_mat, S_snap, rewards):
+    """`run_block(t0, t1, U, Z)` as a numpy loop over steps, all rows at
+    once: the reference for `_engine.c` and the path where it cannot be
+    built."""
+    ids, uniform = g.neighbor_slots
+    mu, noise_std = rm.mu, rm.noise_std
+    R, m = S_snap.shape[0], g.m
+    base = np.arange(R) * (m + 1)         # flat index of each row's node 0
+    base_col = base[:, None]
+    slot_base = np.arange(R) * ids.shape[1]
+    S_rows = S.reshape(R, m + 1)[:, :m]
+
+    def run_block(t0, t1, U, Z):
+        nonlocal cur
+        at = base + cur
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for t in range(t0, t1):
+                k = t - t0
+                nb = ids.take(cur, axis=0)
+                slot = _sample_rows(rows(t, S, mu_hat, at, nb + base_col,
+                                         uniform.take(cur, axis=0)), U[:, k])
+                cur = nb.take(slot_base + slot)
+                at = base + cur
+                S[at] += 1
+                obs = mu.take(cur) + noise_std * Z[:, k]
+                est = mu_hat.take(at)
+                mu_hat[at] = est + (obs - est) / S.take(at)
+                if rewards is not None:
+                    rewards[:, t] = obs
+                n = t + 1
+                if n % stride == 0 or n == n_steps:
+                    j = -(-n // stride)
+                    node_mat[:, j] = cur
+                    S_snap[:, j] = S_rows
+    return run_block
 
 
 def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
@@ -386,10 +450,10 @@ def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
     def plan(n_steps):
         eps, alpha, temp = schedules.schedule_arrays(cfg, n_steps)
 
-        def kernel(t, S, mu_hat, at, nbr, unif):
+        def rows(t, S, mu_hat, at, nbr, unif):
             return _reinforced_slots(S.take(nbr), mu_hat.take(nbr), unif,
                                      alpha[t], eps[t])
-        return kernel, eps, alpha, ScheduleState(
+        return Kernel("reinforced", alpha, eps, rows), eps, alpha, ScheduleState(
             n=n_steps, eps=float(eps[n_steps]), temp=float(temp[n_steps]))
 
     return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan,

@@ -152,6 +152,23 @@ def test_baseline_schedule_columns_match_scalar_schedules(monkeypatch):
                                         for n in ns])
 
 
+def test_sa_rejects_a_graph_without_self_loops():
+    # annealing keeps its leftover mass on the self-loop; without one the
+    # batch used to die in a numpy mask assignment, while one seed ran
+    g = graphs.from_edges(3, [(1, 2), (2, 1), (2, 3), (3, 2)], repair=False)
+    rm = walk.RewardModel(mu=np.array([1.0, 2.0, 0.5]))
+    cfg = baselines.SAConfig()
+    for seeds in ([1, 2, 3], [1]):
+        with pytest.raises(ValueError, match="node 1 has none"):
+            baselines.run_sa_batch(g, rm, cfg, 10, seeds)
+    st = baselines.SAState.initial(g, 2)
+    with pytest.raises(ValueError, match="node 1 has none"):
+        baselines.sa_step(st, g, rm, cfg, walk.WalkRng(0))
+    assert st.n == 0 and st.temp == math.inf
+    with pytest.raises(ValueError, match="node 1 has none"):
+        baselines.sa_transition_row(st, g)
+
+
 def test_baselines_move_along_edges_only():
     g = graphs.make_two_cliques(2, 4)
     rm = walk.RewardModel(mu=np.array([1, 1, 0.5, 0.5, 0.5, 0.5]),

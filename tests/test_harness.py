@@ -115,6 +115,7 @@ def test_run_experiment_layout_and_summary(tmp_path):
                                            "meta.json")))
         assert meta["seed"] == seed
         assert meta["rng"].startswith("numpy-pcg64")
+        assert meta["engine"] == walk.engine_name()
         assert meta["config_sha256"] == cfg.config_hash()
     disk = json.load(open(os.path.join(out, "mini", "summary.json")))
     assert disk == json.loads(json.dumps(summary))

@@ -1,7 +1,10 @@
+import json
+import shutil
+
 import numpy as np
 import pytest
 
-from graphchoice import baselines, graphs, schedules, walk
+from graphchoice import _engine, baselines, graphs, harness, schedules, walk
 from graphchoice.schedules import ScheduleConfig
 
 
@@ -318,16 +321,29 @@ def test_neighbor_slot_table():
             assert np.all(unif[i, d:] == 0.0)
 
 
+# the differential inputs add the two-clique block, whose d_max = 9 takes
+# the eight-accumulator row sum, and star:200, whose hub row of 200 slots
+# takes the recursive pairwise sum
+DIFFERENTIAL_GRAPHS = UNEQUAL_DEGREE_GRAPHS + [graphs.make_two_cliques(2, 8),
+                                               graphs.make_star(200, 1)]
+
+
 def test_slot_batches_match_stepwise_loops_on_unequal_degrees():
-    seeds, n_steps = [2, 3, 4], 300
+    # 20 seeds on each of five graphs: 100 seeds per algorithm, each batch
+    # against the numpy stepwise loop, through the compiled row kernels
+    # wherever a C compiler exists
+    assert walk.engine_name() == "c" or shutil.which("cc") is None
+    n_steps = 300
     cfg = ScheduleConfig(c_mode="explicit_log", alpha_mode="cooled",
                          burn_in=10, cool_scale=1.6)
     sa_cfg, gr_cfg = baselines.SAConfig(), baselines.GreedyConfig()
-    for g in UNEQUAL_DEGREE_GRAPHS:
+    for k, g in enumerate(DIFFERENTIAL_GRAPHS):
+        seeds = range(20 * k + 2, 20 * k + 22)
         mu = np.linspace(0.2, 2.0, g.m)[::-1].copy()
         rm = walk.RewardModel(mu=mu, noise_std=0.5)  # negative estimates occur
         algos = [
-            (walk.run_batch(g, rm, cfg, n_steps, seeds, record_stride=1),
+            (walk.run_batch(g, rm, cfg, n_steps, seeds, record_stride=1,
+                            record_rewards=True),
              lambda start: walk.WalkState.initial(g, cfg, start),
              lambda st, rng: walk.step(st, g, rm, cfg, rng)),
             (baselines.run_sa_batch(g, rm, sa_cfg, n_steps, seeds,
@@ -335,23 +351,88 @@ def test_slot_batches_match_stepwise_loops_on_unequal_degrees():
              lambda start: baselines.SAState.initial(g, start),
              lambda st, rng: baselines.sa_step(st, g, rm, sa_cfg, rng)),
             (baselines.run_greedy_batch(g, rm, gr_cfg, n_steps, seeds,
-                                        record_stride=1),
+                                        record_stride=7),
              lambda start: baselines.GreedyState.initial(g, start),
              lambda st, rng: baselines.greedy_step(st, g, rm, gr_cfg, rng)),
         ]
         for trajs, initial, advance in algos:
+            stride = int(trajs[0].ns[1])
             for seed, traj in zip(seeds, trajs):
                 rng = walk.WalkRng(seed)
                 st = initial(int(rng.init.integers(0, g.m)) + 1)
                 nodes = [st.current]
+                counts = [st.counts.copy()]
                 for _ in range(n_steps):
                     st = advance(st, rng)
                     nodes.append(st.current)
-                assert np.array_equal(traj.nodes, nodes)
-                assert np.array_equal(st.counts, np.rint(traj.xs[-1] * n_steps))
+                    counts.append(st.counts.copy())
+                snap = traj.ns
+                assert np.array_equal(snap, np.unique(np.r_[0:n_steps:stride,
+                                                            n_steps]))
+                assert np.array_equal(traj.nodes, np.array(nodes)[snap])
+                assert np.array_equal(traj.xs[1:],
+                                      np.array(counts)[snap[1:]] / snap[1:, None])
                 if traj.final_state is not None:
                     assert np.array_equal(st.counts, traj.final_state.counts)
                     assert np.array_equal(st.mu_hat, traj.final_state.mu_hat)
+                if traj.rewards is not None:  # one noise normal per step
+                    z = walk.WalkRng(seed).noise.standard_normal(n_steps)
+                    assert np.array_equal(traj.rewards,
+                                          mu[nodes[1:]] + rm.noise_std * z)
+
+
+def test_engine_build_and_fallback(monkeypatch, tmp_path):
+    # the loader itself, past its per-process cache: a fresh cache directory
+    # gets one library; an unusable cache directory or no compiler gives None
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    load = _engine.load.__wrapped__
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert load() is not None
+    assert [p.suffix for p in (tmp_path / "graphchoice").iterdir()] == [".so"]
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    assert load() is None
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "fresh"))
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+    assert load() is None
+    assert not any((tmp_path / "fresh" / "graphchoice").iterdir())
+
+
+def test_numpy_fallback_matches_compiled_engine(monkeypatch, tmp_path):
+    g = graphs.make_two_cliques(2, 8)
+    rm = walk.RewardModel(mu=np.linspace(2.0, 0.2, g.m), noise_std=0.5)
+    cfg = ScheduleConfig(c_mode="explicit_log", alpha_mode="cooled",
+                         burn_in=10, cool_scale=1.6)
+    runs = [
+        lambda: walk.run_batch(g, rm, cfg, 500, range(10), record_stride=3,
+                               record_rewards=True),
+        lambda: baselines.run_sa_batch(g, rm, baselines.SAConfig(), 500,
+                                       range(10), record_stride=3),
+        lambda: baselines.run_greedy_batch(g, rm, baselines.GreedyConfig(),
+                                           500, range(10), record_stride=3),
+    ]
+    exp_cfg = harness.load_config("linear_greedy_trap")
+    exp_cfg = harness.ExperimentConfig(**{**exp_cfg.__dict__, "n_steps": 300,
+                                          "seeds": [1, 2]})
+    compiled = [run() for run in runs]
+    monkeypatch.setattr(_engine, "load", lambda: None)
+    assert walk.engine_name() == "numpy"
+    for run, expected in zip(runs, compiled):
+        for traj, want in zip(run(), expected):
+            for name in ("ns", "nodes", "xs", "eps", "alphas", "rewards"):
+                assert np.array_equal(getattr(traj, name), getattr(want, name))
+            if want.final_state is not None:
+                assert np.array_equal(traj.final_state.counts,
+                                      want.final_state.counts)
+                assert np.array_equal(traj.final_state.mu_hat,
+                                      want.final_state.mu_hat)
+    harness.run_experiment(exp_cfg, str(tmp_path))
+    for seed in exp_cfg.seeds:
+        meta = json.loads((tmp_path / exp_cfg.name / str(seed) / "meta.json")
+                          .read_text())
+        assert meta["engine"] == "numpy"
 
 
 def test_dead_row_fallback_is_uniform_on_real_slots():
@@ -365,9 +446,10 @@ def test_dead_row_fallback_is_uniform_on_real_slots():
         assert np.all(p[ids == g.m] == 0.0)
         assert np.allclose(p, unif, rtol=0, atol=1e-15)
         rm = walk.RewardModel(mu=np.ones(g.m))
+        # constant mode keeps eps(0) = 1e-9 (explicit_log starts at 1)
+        cfg = ScheduleConfig(c_mode="constant", epsilon0=1e-9)
         for start in range(1, g.m + 1):
-            trajs = walk.run_batch(g, rm, ScheduleConfig(epsilon0=1e-9), 1,
-                                   range(40), start=start)
+            trajs = walk.run_batch(g, rm, cfg, 1, range(40), start=start)
             moved = {int(t.nodes[1]) for t in trajs}
             assert moved <= set(g.nbrs[start - 1])
             assert all(t.final_state.counts.sum() == 1 for t in trajs)
@@ -397,6 +479,48 @@ def test_tail_fallback_never_picks_a_padding_slot():
         assert slot == np.flatnonzero(p[0] > 0)[-1]
         assert ids[leaf, slot] < g.m
     assert fired > 0
+
+
+def test_compiled_tail_fallback_matches_numpy(monkeypatch):
+    # every selection uniform pinned to nextafter(1, 0): each row whose
+    # cumsum rounds below 1 takes the tail fallback, in C and in numpy alike
+    top = np.nextafter(1.0, 0.0)
+
+    class TopUniform:
+        def random(self, out):
+            out.fill(top)
+
+    class PinnedRng(walk.WalkRng):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.select = TopUniform()
+
+    monkeypatch.setattr(walk, "WalkRng", PinnedRng)
+    g = graphs.make_star(9, 1)
+    rm = walk.RewardModel(mu=np.linspace(0.3, 2.0, g.m), noise_std=0.5)
+    cfg = ScheduleConfig(c_mode="explicit_log", alpha_mode="cooled",
+                         burn_in=10, cool_scale=1.6)
+    runs = [lambda: walk.run_batch(g, rm, cfg, 400, range(30)),
+            lambda: baselines.run_sa_batch(g, rm, baselines.SAConfig(gamma=5.0),
+                                           400, range(30))]
+    compiled = [run() for run in runs]
+    fired = []
+    sample_rows = walk._sample_rows
+
+    def counting(probs, u):
+        fired.append(int(((u[:, None] >= probs.cumsum(axis=1)).sum(axis=1)
+                          >= probs.shape[1]).sum()))
+        return sample_rows(probs, u)
+
+    monkeypatch.setattr(walk, "_sample_rows", counting)
+    monkeypatch.setattr(_engine, "load", lambda: None)
+    for run, expected in zip(runs, compiled):
+        for traj, want in zip(run(), expected):
+            assert np.array_equal(traj.nodes, want.nodes)
+            assert np.array_equal(traj.xs, want.xs)
+            for k in range(1, len(traj.ns)):
+                assert traj.nodes[k] + 1 in g.neighbors(traj.nodes[k - 1] + 1)
+    assert sum(fired) > 0
 
 
 def test_greedy_argmax_never_picks_a_padding_slot():
