@@ -147,8 +147,8 @@ static int64_t sample_slot(const double *p, int64_t d, double u)
 }
 
 /* Steps t0 <= t < t1 of an n_steps run for all R rows. pa/pb are the
- * per-step parameters indexed by t: (alpha, eps) for REINFORCED, (temp, -)
- * for SA and (eps, -) for GREEDY. U and Z are (R, ublock) with column
+ * per-step parameters indexed by t: (alpha, eps) for REINFORCED, (temp,
+ * NULL) for SA and (eps, NULL) for GREEDY. U and Z are (R, ublock) with column
  * t - t0 for step t. cur (R) holds each row's current node and is updated.
  * After step t, n = t + 1; where n % stride == 0 or n == n_steps, the node
  * and the S row go to snapshot j = ceil(n / stride) of the (R, n_snaps)

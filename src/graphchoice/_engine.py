@@ -84,23 +84,28 @@ def compiled_block(g, rm, kernel, n_steps: int, stride: int, cur, S, mu_hat,
         return None
     ids, uniform = g.neighbor_slots
     mu = rm.mu
-    a, b = (np.ascontiguousarray(v, dtype=np.float64) for v in (kernel.a, kernel.b))
-    if min(a.size, b.size) < n_steps:
+    kind = KINDS[kernel.kind]
+    params = [np.ascontiguousarray(v, dtype=np.float64)
+              for v in (kernel.a, kernel.b) if v is not None]
+    if len(params) != (2 if kernel.kind == "reinforced" else 1):
+        raise ValueError(f"wrong parameter count for the {kernel.kind!r} kernel")
+    if min(v.size for v in params) < n_steps:
         raise ValueError("kernel parameters cover fewer steps than the run")
+    a, b = (*params, None)[:2]  # b is NULL for the one-parameter kernels
     R, k, m = S_snap.shape
     work = np.empty(ids.shape[1])
-    arrays = (ids, uniform, mu, a, b, cur, S, mu_hat, node_mat, S_snap, work)
+    arrays = (ids, uniform, mu, *params, cur, S, mu_hat, node_mat, S_snap, work)
     if not all(v.flags.c_contiguous for v in arrays):
         raise ValueError("engine buffers must be C-contiguous")
     if ({v.dtype for v in (ids, cur, S, node_mat, S_snap)} != {np.dtype(np.int64)}
             or {v.dtype for v in (uniform, mu, mu_hat)} != {np.dtype(np.float64)}):
         raise ValueError("engine buffers must be int64 (indices, counts) "
                          "or float64 (probabilities, rewards, estimates)")
-    kind = KINDS[kernel.kind]
 
     def run_block(t0, t1, U, Z):
         fn(kind, R, m, ids.shape[1], ids.ctypes.data, uniform.ctypes.data,
-           mu.ctypes.data, rm.noise_std, a.ctypes.data, b.ctypes.data,
+           mu.ctypes.data, rm.noise_std, a.ctypes.data,
+           None if b is None else b.ctypes.data,
            t0, t1, n_steps, stride, U.ctypes.data, Z.ctypes.data, U.shape[1],
            cur.ctypes.data, S.ctypes.data, mu_hat.ctypes.data,
            k, node_mat.ctypes.data, S_snap.ctypes.data,

@@ -190,7 +190,7 @@ def run_sa_batch(g: Graph, rm: RewardModel, cfg: SAConfig, n_steps: int,
         def rows(t, S, mu_hat, at, nbr, unif):
             return _sa_slots(mu_hat.take(nbr), mu_hat.take(at),
                              nbr == at[:, None], unif, temp[t + 1])
-        return (Kernel("sa", temp[1:], temp[1:], rows), np.zeros(n_steps + 1),
+        return (Kernel("sa", rows, temp[1:]), np.zeros(n_steps + 1),
                 alpha, None)
 
     return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)
@@ -207,7 +207,7 @@ def run_greedy_batch(g: Graph, rm: RewardModel, cfg: GreedyConfig,
 
         def rows(t, S, mu_hat, at, nbr, unif):
             return _greedy_slots(mu_hat.take(nbr), unif, eps[t + 1])
-        return (Kernel("greedy", eps[1:], eps[1:], rows), eps,
+        return (Kernel("greedy", rows, eps[1:]), eps,
                 np.zeros(n_steps + 1), None)
 
     return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)

@@ -289,16 +289,16 @@ class Kernel(NamedTuple):
     """One algorithm's move rule in the terms of both engine loops.
 
     `kind` names the compiled row kernel ("reinforced", "sa" or "greedy")
-    and `a`, `b` are its float64 parameters indexed by the step t: (alpha,
-    eps) for "reinforced", (T, unused) for "sa" and (eps, unused) for
-    "greedy". `rows(t, S, mu_hat, at, nbr, unif)` gives the same (R, d_max)
-    slot rows with numpy, for the fallback loop.
+    and `rows(t, S, mu_hat, at, nbr, unif)` gives the same (R, d_max) slot
+    rows with numpy, for the fallback loop. `a` and `b` are the kernel's
+    float64 parameters indexed by the step t: (alpha, eps) for
+    "reinforced", T for "sa" and eps for "greedy", whose `b` stays None.
     """
 
     kind: str
-    a: np.ndarray
-    b: np.ndarray
     rows: Callable
+    a: np.ndarray
+    b: np.ndarray | None = None
 
 
 def engine_name() -> str:
@@ -453,7 +453,7 @@ def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
         def rows(t, S, mu_hat, at, nbr, unif):
             return _reinforced_slots(S.take(nbr), mu_hat.take(nbr), unif,
                                      alpha[t], eps[t])
-        return Kernel("reinforced", alpha, eps, rows), eps, alpha, ScheduleState(
+        return Kernel("reinforced", rows, alpha, eps), eps, alpha, ScheduleState(
             n=n_steps, eps=float(eps[n_steps]), temp=float(temp[n_steps]))
 
     return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan,

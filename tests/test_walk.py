@@ -328,11 +328,22 @@ DIFFERENTIAL_GRAPHS = UNEQUAL_DEGREE_GRAPHS + [graphs.make_two_cliques(2, 8),
                                                graphs.make_star(200, 1)]
 
 
-def test_slot_batches_match_stepwise_loops_on_unequal_degrees():
+def test_slot_batches_match_stepwise_loops_on_unequal_degrees(monkeypatch):
     # 20 seeds on each of five graphs: 100 seeds per algorithm, each batch
-    # against the numpy stepwise loop, through the compiled row kernels
-    # wherever a C compiler exists
+    # at stride 1 and at stride 7 against the numpy stepwise loop, through
+    # the compiled row kernels wherever a C compiler exists. The engine's
+    # final S and mu_hat buffers are read where it hands them to
+    # compiled_block, so the baselines' estimates are compared too.
     assert walk.engine_name() == "c" or shutil.which("cc") is None
+    finals = []
+    compiled_block = _engine.compiled_block
+
+    def capturing(g, rm, kernel, n_steps, stride, cur, S, mu_hat, *rest):
+        finals.append((S, mu_hat))
+        return compiled_block(g, rm, kernel, n_steps, stride, cur, S, mu_hat,
+                              *rest)
+
+    monkeypatch.setattr(_engine, "compiled_block", capturing)
     n_steps = 300
     cfg = ScheduleConfig(c_mode="explicit_log", alpha_mode="cooled",
                          burn_in=10, cool_scale=1.6)
@@ -342,22 +353,29 @@ def test_slot_batches_match_stepwise_loops_on_unequal_degrees():
         mu = np.linspace(0.2, 2.0, g.m)[::-1].copy()
         rm = walk.RewardModel(mu=mu, noise_std=0.5)  # negative estimates occur
         algos = [
-            (walk.run_batch(g, rm, cfg, n_steps, seeds, record_stride=1,
-                            record_rewards=True),
+            (lambda stride: walk.run_batch(g, rm, cfg, n_steps, seeds,
+                                           record_stride=stride,
+                                           record_rewards=stride == 1),
              lambda start: walk.WalkState.initial(g, cfg, start),
              lambda st, rng: walk.step(st, g, rm, cfg, rng)),
-            (baselines.run_sa_batch(g, rm, sa_cfg, n_steps, seeds,
-                                    record_stride=1),
+            (lambda stride: baselines.run_sa_batch(g, rm, sa_cfg, n_steps,
+                                                   seeds, record_stride=stride),
              lambda start: baselines.SAState.initial(g, start),
              lambda st, rng: baselines.sa_step(st, g, rm, sa_cfg, rng)),
-            (baselines.run_greedy_batch(g, rm, gr_cfg, n_steps, seeds,
-                                        record_stride=7),
+            (lambda stride: baselines.run_greedy_batch(g, rm, gr_cfg, n_steps,
+                                                       seeds,
+                                                       record_stride=stride),
              lambda start: baselines.GreedyState.initial(g, start),
              lambda st, rng: baselines.greedy_step(st, g, rm, gr_cfg, rng)),
         ]
-        for trajs, initial, advance in algos:
-            stride = int(trajs[0].ns[1])
-            for seed, traj in zip(seeds, trajs):
+        for run, initial, advance in algos:
+            batches = []
+            for stride in (1, 7):
+                trajs = run(stride)
+                S, mu_hat = (v.reshape(len(seeds), g.m + 1)[:, :g.m]
+                             for v in finals.pop())
+                batches.append((stride, trajs, S, mu_hat))
+            for r, seed in enumerate(seeds):
                 rng = walk.WalkRng(seed)
                 st = initial(int(rng.init.integers(0, g.m)) + 1)
                 nodes = [st.current]
@@ -366,19 +384,24 @@ def test_slot_batches_match_stepwise_loops_on_unequal_degrees():
                     st = advance(st, rng)
                     nodes.append(st.current)
                     counts.append(st.counts.copy())
-                snap = traj.ns
-                assert np.array_equal(snap, np.unique(np.r_[0:n_steps:stride,
-                                                            n_steps]))
-                assert np.array_equal(traj.nodes, np.array(nodes)[snap])
-                assert np.array_equal(traj.xs[1:],
-                                      np.array(counts)[snap[1:]] / snap[1:, None])
-                if traj.final_state is not None:
-                    assert np.array_equal(st.counts, traj.final_state.counts)
-                    assert np.array_equal(st.mu_hat, traj.final_state.mu_hat)
-                if traj.rewards is not None:  # one noise normal per step
-                    z = walk.WalkRng(seed).noise.standard_normal(n_steps)
-                    assert np.array_equal(traj.rewards,
-                                          mu[nodes[1:]] + rm.noise_std * z)
+                for stride, trajs, S, mu_hat in batches:
+                    traj = trajs[r]
+                    snap = traj.ns
+                    assert np.array_equal(snap, np.unique(
+                        np.r_[0:n_steps:stride, n_steps]))
+                    assert np.array_equal(traj.nodes, np.array(nodes)[snap])
+                    assert np.array_equal(
+                        traj.xs[1:], np.array(counts)[snap[1:]] / snap[1:, None])
+                    assert np.array_equal(S[r], st.counts)
+                    assert np.array_equal(mu_hat[r], st.mu_hat)
+                    if traj.final_state is not None:
+                        assert np.array_equal(st.counts, traj.final_state.counts)
+                        assert np.array_equal(st.mu_hat, traj.final_state.mu_hat)
+                    if traj.rewards is not None:  # one noise normal per step
+                        z = walk.WalkRng(seed).noise.standard_normal(n_steps)
+                        assert np.array_equal(traj.rewards,
+                                              mu[nodes[1:]] + rm.noise_std * z)
+    assert not finals
 
 
 def test_engine_build_and_fallback(monkeypatch, tmp_path):
