@@ -152,8 +152,8 @@ static int64_t sample_slot(const double *p, int64_t d, double u)
  * t - t0 for step t. cur (R) holds each row's current node and is updated.
  * After step t, n = t + 1; where n % stride == 0 or n == n_steps, the node
  * and the S row go to snapshot j = ceil(n / stride) of the (R, n_snaps)
- * node buffer and the (R, n_snaps, m) count buffer. rewards, when not
- * NULL, is (R, n_steps). work holds d_max doubles. */
+ * node buffer and the (R, n_snaps, m) count buffer. work holds d_max
+ * doubles. */
 void gc_run_block(int32_t kind, int64_t R, int64_t m, int64_t d,
                   const int64_t *ids, const double *uniform,
                   const double *mu, double noise_std,
@@ -162,7 +162,7 @@ void gc_run_block(int32_t kind, int64_t R, int64_t m, int64_t d,
                   const double *U, const double *Z, int64_t ublock,
                   int64_t *cur, int64_t *S, double *mu_hat,
                   int64_t n_snaps, int64_t *snap_node, int64_t *snap_S,
-                  double *rewards, double *work)
+                  double *work)
 {
     for (int64_t r = 0; r < R; r++) {
         int64_t *Sr = S + r * (m + 1);
@@ -184,8 +184,6 @@ void gc_run_block(int32_t kind, int64_t R, int64_t m, int64_t d,
             double obs = mu[c] + noise_std * Zr[t - t0];
             double est = Mr[c];
             Mr[c] = est + (obs - est) / (double)Sr[c];
-            if (rewards)
-                rewards[r * n_steps + t] = obs;
 
             int64_t n = t + 1;
             if (n % stride == 0 || n == n_steps) {

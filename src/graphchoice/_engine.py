@@ -64,13 +64,13 @@ def load():
                    ptr, ptr, i64,                  # U, Z, block width
                    ptr, ptr, ptr,                  # cur, S, mu_hat
                    i64, ptr, ptr,                  # snapshots: count, nodes, S
-                   ptr, ptr]                       # rewards, work
+                   ptr]                            # work
     fn.restype = None
     return fn
 
 
 def compiled_block(g, rm, kernel, n_steps: int, stride: int, cur, S, mu_hat,
-                   node_mat, S_snap, rewards):
+                   node_mat, S_snap):
     """`run_block(t0, t1, U, Z)` for `walk._run_engine` through
     `gc_run_block`, or None where the library cannot be built or loaded.
 
@@ -108,6 +108,5 @@ def compiled_block(g, rm, kernel, n_steps: int, stride: int, cur, S, mu_hat,
            None if b is None else b.ctypes.data,
            t0, t1, n_steps, stride, U.ctypes.data, Z.ctypes.data, U.shape[1],
            cur.ctypes.data, S.ctypes.data, mu_hat.ctypes.data,
-           k, node_mat.ctypes.data, S_snap.ctypes.data,
-           None if rewards is None else rewards.ctypes.data, work.ctypes.data)
+           k, node_mat.ctypes.data, S_snap.ctypes.data, work.ctypes.data)
     return run_block

@@ -30,6 +30,10 @@ import numpy as np
 
 from .graphs import Graph
 
+_DT_MIN = 1e-6  # RK4 step-halving floor
+_PERTURB_TOL = 1e-13  # epsilon_perturbation stops below this residual,
+_PERTURB_ITERS = 20_000  # or after this many iterations
+
 
 def _as_interior(x, m: int | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -201,9 +205,9 @@ def fixed_point_residual(x, g: Graph, mu, alpha: float) -> float:
     return float(np.abs(scaled_rhs(x, g, mu, alpha)).max())
 
 
-def _rk4_window(rhs, z, h, steps, dt_min):
+def _rk4_window(rhs, z, h, steps):
     """Fixed-step RK4 with step halving when an iterate, or an intermediate
-    stage point, leaves the simplex."""
+    stage point, leaves the simplex; a step below _DT_MIN raises."""
     path = np.empty((steps + 1, z.size))
     path[0] = z
     for k in range(steps):
@@ -222,8 +226,8 @@ def _rk4_window(rhs, z, h, steps, dt_min):
             if ok:
                 break
             h *= 0.5
-            if h < dt_min:
-                raise RuntimeError(f"RK4 step fell below dt_min={dt_min}")
+            if h < _DT_MIN:
+                raise RuntimeError(f"RK4 step fell below {_DT_MIN}")
         s = z_new.sum()
         if abs(s - 1.0) > 1e-12:
             z_new = z_new / s
@@ -233,18 +237,18 @@ def _rk4_window(rhs, z, h, steps, dt_min):
 
 
 def integrate_replicator(z0, g: Graph, mu, alpha: float, dt: float = 0.01,
-                         steps: int = 1000, dt_min: float = 1e-6) -> np.ndarray:
+                         steps: int = 1000) -> np.ndarray:
     """RK4 path of the growth-rate dynamics from an interior start.
 
     Returns the (steps+1, m) sequence of iterates. A step that exits the
     simplex (or blows up) is retried with half the step size; failure below
-    dt_min raises.
+    _DT_MIN raises.
     """
     alpha = _check_alpha(alpha)
     z = _as_interior(z0, g.m).copy()
     mu = _as_rewards(mu, g.m)
     path, _ = _rk4_window(lambda v: replicator_rhs(v, g, mu, alpha),
-                          z, float(dt), int(steps), dt_min)
+                          z, float(dt), int(steps))
     return path
 
 
@@ -262,8 +266,7 @@ class FixedPointResult:
 
 def find_fixed_point(g: Graph, mu, alpha: float, z0=None, dt: float = 0.02,
                      window: int = 400, max_windows: int = 400,
-                     residual_tol: float = 1e-8, dt_min: float = 1e-6,
-                     dynamics: str = "replicator",
+                     residual_tol: float = 1e-8, dynamics: str = "replicator",
                      return_path: bool = False) -> FixedPointResult:
     """Locate a rest point by integrating the dynamics until the residual
     of the fixed-point map drops below residual_tol.
@@ -292,7 +295,7 @@ def find_fixed_point(g: Graph, mu, alpha: float, z0=None, dt: float = 0.02,
     w = 0
     while not converged and w < max_windows:
         h_in = h
-        path, h = _rk4_window(rhs, z, h, window, dt_min)
+        path, h = _rk4_window(rhs, z, h, window)
         z = path[-1]
         if return_path:
             pieces.append(path[1:])
@@ -309,11 +312,10 @@ def find_fixed_point(g: Graph, mu, alpha: float, z0=None, dt: float = 0.02,
         path=np.concatenate(pieces, axis=0) if return_path else None)
 
 
-def optimal_set(mu, rel_tol: float = 1e-12) -> np.ndarray:
-    """0-based indices of maximal-reward nodes (exact ties up to rel_tol)."""
+def optimal_set(mu) -> np.ndarray:
+    """0-based indices of maximal-reward nodes (ties to a relative 1e-12)."""
     mu = np.asarray(mu, dtype=float)
-    top = mu.max()
-    return np.flatnonzero(mu >= top * (1.0 - rel_tol))
+    return np.flatnonzero(mu >= mu.max() * (1.0 - 1e-12))
 
 
 def unconstrained_fixed_point(mu, alpha: float) -> np.ndarray:
@@ -326,9 +328,7 @@ def unconstrained_fixed_point(mu, alpha: float) -> np.ndarray:
     alpha = _check_alpha(alpha)
     if alpha >= 1.0:
         raise ValueError("closed form requires alpha in (0, 1)")
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu <= 0):
-        raise ValueError("rewards must be positive")
+    mu = _as_rewards(mu, np.size(mu))
     expo = alpha / (1.0 - alpha)
     logw = expo * np.log(mu)
     w = np.exp(logw - logw.max())
@@ -347,16 +347,16 @@ class PerturbationResult:
     converged: bool
 
 
-def epsilon_perturbation(mu, alpha: float, eps: float, damping: float = 0.5,
-                         tol: float = 1e-13,
-                         max_iters: int = 20_000) -> PerturbationResult:
+def epsilon_perturbation(mu, alpha: float, eps: float) -> PerturbationResult:
     """First-order expansion of the complete-graph rest point near eps = 1,
 
         x_i ~ 1/m + (1 - eps) * (mu_i**alpha / sum_k mu_k**alpha - 1/m),
 
     together with the exact solution of
-    x_i = (1 - eps) f_i(x)/sum f(x) + eps/m found by damped fixed-point
-    iteration (a contraction near eps = 1). Both are returned with the gap.
+    x_i = (1 - eps) f_i(x)/sum f(x) + eps/m found by fixed-point iteration
+    damped by 1/2 (a contraction near eps = 1), stopped once the sup-norm
+    residual is below _PERTURB_TOL or after _PERTURB_ITERS steps. Both are
+    returned with the gap.
     """
     alpha = _check_alpha(alpha)
     if not 0.0 <= eps <= 1.0:
@@ -371,17 +371,17 @@ def epsilon_perturbation(mu, alpha: float, eps: float, damping: float = 0.5,
     x = first.copy()
     res = np.inf
     it = 0
-    while it < max_iters:
+    while it < _PERTURB_ITERS:
         f = pref_weights(x, mu, alpha)
         target = (1.0 - eps) * f / f.sum() + eps / m
         res = float(np.abs(target - x).max())
-        if res < tol:
+        if res < _PERTURB_TOL:
             break
-        x = (1.0 - damping) * x + damping * target
+        x = 0.5 * x + 0.5 * target
         it += 1
     return PerturbationResult(
         first_order=first, exact=x, gap=float(np.abs(x - first).max()),
-        residual=res, iterations=it, converged=res < tol)
+        residual=res, iterations=it, converged=res < _PERTURB_TOL)
 
 
 @dataclass
@@ -391,26 +391,25 @@ class ConcentrationEntry:
     optimal_mass: float
 
 
-def alpha_concentration_check(g: Graph, mu, alpha_list, z0=None,
-                              **fp_kwargs) -> list[ConcentrationEntry]:
+def alpha_concentration_check(g: Graph, mu, alpha_list,
+                              z0=None) -> list[ConcentrationEntry]:
     """Rest points along an increasing exponent ladder.
 
     For each alpha, integrates the dynamics from z0 (default uniform) and
     reports the mass the located rest point puts on the maximal-reward set.
-    The time-rescaled dynamics is used by default: its speed does not decay
-    with alpha, so large exponents converge too. Integration failures
-    surface as unconverged entries, not exceptions.
+    The time-rescaled dynamics is used: its speed does not decay with alpha,
+    so large exponents converge too. Integration failures surface as
+    unconverged entries, not exceptions.
     """
     alphas = [float(a) for a in alpha_list]
     if any(b <= a for a, b in zip(alphas, alphas[1:])):
         raise ValueError("alpha_list must be strictly increasing")
-    fp_kwargs.setdefault("dynamics", "scaled")
     mu = _as_rewards(mu, g.m)
     d = optimal_set(mu)
     out = []
     for a in alphas:
         try:
-            fp = find_fixed_point(g, mu, a, z0=z0, **fp_kwargs)
+            fp = find_fixed_point(g, mu, a, z0=z0, dynamics="scaled")
         except RuntimeError:
             nan = np.full(g.m, np.nan)
             fp = FixedPointResult(point=nan, residual=np.inf,

@@ -77,7 +77,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compare(args) -> int:
     cfgs = [harness.load_config(ref) for ref in args.configs]
-    ns, columns = harness.compare_experiments(cfgs)
+    ns, columns, verdicts = harness.compare_experiments(cfgs)
     csv_text = harness.comparison_csv(ns, columns)
     if args.out:
         with open(args.out, "w") as fh:
@@ -85,18 +85,11 @@ def _cmd_compare(args) -> int:
     else:
         sys.stdout.write(csv_text)
     if args.check:
-        failed = []
-        for cfg in cfgs:
-            if cfg.acceptance is None:
-                continue
-            trajs = harness.run_trajectories(cfg)
-            finals = {t.seed: [float(v) for v in t.xs[-1]] for t in trajs}
-            verdict = harness._acceptance_verdict(cfg, finals)
-            if not verdict["passed"]:
-                failed.append((cfg.name, verdict))
+        failed = {name: v for name, v in verdicts.items()
+                  if v is not None and not v["passed"]}
+        for name, verdict in failed.items():
+            print(f"acceptance failed: {name}: {verdict}", file=sys.stderr)
         if failed:
-            for name, verdict in failed:
-                print(f"acceptance failed: {name}: {verdict}", file=sys.stderr)
             return 4
     return 0
 

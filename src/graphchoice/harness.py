@@ -34,7 +34,6 @@ _ALGOS = ("reinforced", "sa", "greedy")
 _TOP_KEYS = {"schema", "name", "graph", "mu", "noise_std", "algorithm",
              "schedule", "greedy_eps", "n_steps", "seeds", "record_stride",
              "start", "acceptance", "out_dir"}
-_GRAPH_KEYS = {"generator", "m", "center", "m1", "m2", "file"}
 _ACCEPT_KEYS = {"nodes", "min_fraction", "min_seeds"}
 
 
@@ -70,43 +69,51 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# Each graph generator with its parameter names in call order: the config's
+# graph block and the CLI's --graph spec both read this table.
+_GENERATORS = {
+    "complete": (graphs.make_complete, ("m",)),
+    "linear": (graphs.make_linear, ("m",)),
+    "star": (graphs.make_star, ("m", "center")),
+    "two_cliques": (graphs.make_two_cliques, ("m1", "m2")),
+}
+
+
 def build_graph(spec: dict) -> graphs.Graph:
-    """Graph from a config 'graph' block (generator + params, or a file)."""
-    unknown = set(spec) - _GRAPH_KEYS
-    if unknown:
-        raise ConfigError(f"unknown graph keys: {sorted(unknown)}")
-    if "file" in spec:
-        g, _notes = graphs.load_graph(spec["file"])
-        return g
+    """Graph from a config 'graph' block: {"file": path}, or a generator
+    and its integer parameters, with no other keys."""
+    if not isinstance(spec, dict):
+        raise ConfigError("graph must be a JSON object")
     gen = spec.get("generator")
-    if gen == "complete":
-        return graphs.make_complete(int(spec["m"]))
-    if gen == "linear":
-        return graphs.make_linear(int(spec["m"]))
-    if gen == "star":
-        return graphs.make_star(int(spec["m"]), int(spec["center"]))
-    if gen == "two_cliques":
-        return graphs.make_two_cliques(int(spec["m1"]), int(spec["m2"]))
-    raise ConfigError(f"unknown graph generator {gen!r}")
+    if "file" in spec:
+        keys = ("file",)
+    elif gen in _GENERATORS:
+        keys = ("generator", *_GENERATORS[gen][1])
+    else:
+        raise ConfigError(f"unknown graph generator {gen!r}")
+    if set(spec) != set(keys):
+        raise ConfigError(f"graph keys {sorted(spec)}: {list(keys)} expected")
+    if "file" in spec and not isinstance(spec["file"], str):
+        raise ConfigError("graph file must be a path")
+    values = [_integer(spec[k], f"graph {k}") for k in keys[1:]]
+    try:
+        if "file" in spec:
+            return graphs.load_graph(spec["file"])[0]
+        return _GENERATORS[gen][0](*values)
+    except (OSError, TypeError, ValueError) as exc:  # bad size, hub or file
+        raise ConfigError(f"bad graph {spec}: {exc}") from exc
 
 
 def parse_graph_arg(text: str) -> graphs.Graph:
     """Graph from a compact CLI spec: complete:M, linear:M, star:M:CENTER,
     two_cliques:M1:M2, or a JSON graph file path."""
     if os.sep in text or text.endswith(".json"):
-        g, _ = graphs.load_graph(text)
-        return g
-    parts = text.split(":")
-    kind, args = parts[0], [int(p) for p in parts[1:]]
-    if kind == "complete" and len(args) == 1:
-        return graphs.make_complete(args[0])
-    if kind == "linear" and len(args) == 1:
-        return graphs.make_linear(args[0])
-    if kind == "star" and len(args) == 2:
-        return graphs.make_star(args[0], args[1])
-    if kind == "two_cliques" and len(args) == 2:
-        return graphs.make_two_cliques(args[0], args[1])
-    raise ConfigError(f"cannot parse graph spec {text!r}")
+        return build_graph({"file": text})
+    gen, *args = text.split(":")
+    names = _GENERATORS.get(gen, (None, ()))[1]
+    if len(args) != len(names) or not all(a.isdecimal() for a in args):
+        raise ConfigError(f"cannot parse graph spec {text!r}")
+    return build_graph({"generator": gen, **dict(zip(names, map(int, args)))})
 
 
 def _number(value, what: str) -> float:
@@ -367,7 +374,8 @@ def compare_experiments(cfgs: list[ExperimentConfig]):
     """Aligned per-step median optimal-set frequency for each experiment.
 
     All configs must share graph, rewards, step budget and stride; returns
-    (ns, {name: medians}) ready for CSV emission or plotting.
+    (ns, {name: medians}) ready for CSV emission or plotting, and {name:
+    acceptance verdict, None without an acceptance block} from the same runs.
     """
     if not cfgs:
         raise ConfigError("need at least one config to compare")
@@ -381,14 +389,15 @@ def compare_experiments(cfgs: list[ExperimentConfig]):
             raise ConfigError("compared configs must share n_steps and stride")
     from .analysis import optimal_set
     best = optimal_set(ref.mu)
-    columns = {}
-    ns = None
+    columns, verdicts = {}, {}
     for cfg in cfgs:
         trajs = run_trajectories(cfg)
         ns = trajs[0].ns
         mass = np.stack([t.xs[:, best].sum(axis=1) for t in trajs])
         columns[cfg.name] = np.median(mass, axis=0)
-    return ns, columns
+        verdicts[cfg.name] = _acceptance_verdict(
+            cfg, {t.seed: [float(v) for v in t.xs[-1]] for t in trajs})
+    return ns, columns, verdicts
 
 
 def comparison_csv(ns, columns: dict) -> str:

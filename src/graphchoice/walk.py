@@ -122,8 +122,9 @@ class Trajectory:
     """Recorded (n, node, x, eps, alpha) snapshots at a fixed stride.
 
     `nodes` are 0-based internally; the CSV emits 1-based ids. `final_state`
-    carries the full end-of-run state; `rewards` holds the per-step observed
-    rewards when their recording was requested.
+    carries the full end-of-run state. Observed rewards are not stored: the
+    one at step t, arriving at node v, is mu[v] + noise_std * z[t], with z the
+    first n_steps normals of `WalkRng(seed).noise`.
     """
 
     seed: int
@@ -133,7 +134,6 @@ class Trajectory:
     eps: np.ndarray
     alphas: np.ndarray
     final_state: WalkState | None = None
-    rewards: np.ndarray | None = None
 
     def to_csv(self, path) -> None:
         m = self.xs.shape[1]
@@ -308,8 +308,7 @@ def engine_name() -> str:
 
 
 def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
-                record_stride: int, start, plan,
-                record_rewards: bool = False) -> list[Trajectory]:
+                record_stride: int, start, plan) -> list[Trajectory]:
     """The batched loop behind `run_batch` and the baselines' batch runners.
 
     `plan(n_steps)` returns `(kernel, eps_col, alpha_col, final_sched)`: the
@@ -365,10 +364,9 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
     node_mat = np.empty((R, ns.size), dtype=np.int64)  # snapshot j: n = ns[j]
     S_snap = np.zeros((R, ns.size, m), dtype=np.int64)
     node_mat[:, 0] = cur
-    rewards = np.empty((R, n_steps)) if record_rewards else None
 
     from . import _engine  # at the first engine call: importing stays lean
-    buffers = (cur, S, mu_hat, node_mat, S_snap, rewards)
+    buffers = (cur, S, mu_hat, node_mat, S_snap)
     run_block = (_engine.compiled_block(g, rm, kernel, n_steps, record_stride,
                                         *buffers)
                  or _numpy_block(g, rm, kernel.rows, n_steps, record_stride,
@@ -394,13 +392,12 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
         out.append(Trajectory(
             seed=seeds[r], ns=ns.copy(), nodes=node_mat[r].copy(),
             xs=x_mat[r].copy(), eps=eps_snap.copy(), alphas=alpha_snap.copy(),
-            final_state=final,
-            rewards=rewards[r].copy() if record_rewards else None))
+            final_state=final))
     return out
 
 
 def _numpy_block(g: Graph, rm: RewardModel, rows, n_steps: int, stride: int,
-                 cur, S, mu_hat, node_mat, S_snap, rewards):
+                 cur, S, mu_hat, node_mat, S_snap):
     """`run_block(t0, t1, U, Z)` as a numpy loop over steps, all rows at
     once: the reference for `_engine.c` and the path where it cannot be
     built."""
@@ -427,8 +424,6 @@ def _numpy_block(g: Graph, rm: RewardModel, rows, n_steps: int, stride: int,
                 obs = mu.take(cur) + noise_std * Z[:, k]
                 est = mu_hat.take(at)
                 mu_hat[at] = est + (obs - est) / S.take(at)
-                if rewards is not None:
-                    rewards[:, t] = obs
                 n = t + 1
                 if n % stride == 0 or n == n_steps:
                     j = -(-n // stride)
@@ -438,8 +433,7 @@ def _numpy_block(g: Graph, rm: RewardModel, rows, n_steps: int, stride: int,
 
 
 def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
-              seeds, record_stride: int = 1, start=None,
-              record_rewards: bool = False) -> list[Trajectory]:
+              seeds, record_stride: int = 1, start=None) -> list[Trajectory]:
     """Run one walk per seed, vectorized across seeds.
 
     All runs share (g, rm, cfg) and differ only in their random streams, so
@@ -456,13 +450,11 @@ def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
         return Kernel("reinforced", rows, alpha, eps), eps, alpha, ScheduleState(
             n=n_steps, eps=float(eps[n_steps]), temp=float(temp[n_steps]))
 
-    return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan,
-                       record_rewards)
+    return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)
 
 
 def run(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
-        seed: int, record_stride: int = 1, start=None,
-        record_rewards: bool = False) -> Trajectory:
+        seed: int, record_stride: int = 1, start=None) -> Trajectory:
     """Run a single seeded walk; deterministic given (inputs, seed)."""
     return run_batch(g, rm, cfg, n_steps, [seed], record_stride=record_stride,
-                     start=start, record_rewards=record_rewards)[0]
+                     start=start)[0]

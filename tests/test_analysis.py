@@ -76,6 +76,7 @@ def test_boundary_points_rejected():
         lambda x, g, mu, a: analysis.find_fixed_point(g, mu, a, z0=x),
         analysis.integrate_replicator,
         lambda x, g, mu, a: analysis.epsilon_perturbation(mu, a, 0.5),
+        lambda x, g, mu, a: analysis.unconstrained_fixed_point(mu, 0.5),
         lambda x, g, mu, a: analysis.alpha_concentration_check(g, mu, [a]))
     for fn in reward_fns:
         for mu in ([2.0, nan, 1.0], [2.0, inf, 1.0], [2.0, 0.0, 1.0]):
@@ -219,7 +220,8 @@ def test_rhs_arithmetic_matches_the_potential_gradient():
                               v / v.sum() - z)
 
 
-def test_rk4_window_halves_the_step_when_a_stage_leaves_the_simplex():
+def test_rk4_window_halves_the_step_when_a_stage_leaves_the_simplex(
+        monkeypatch):
     g = graphs.make_complete(3)
     raised = []
 
@@ -231,14 +233,15 @@ def test_rk4_window_halves_the_step_when_a_stage_leaves_the_simplex():
             raise
 
     z0 = np.array([0.98, 0.01, 0.01])
-    path, h = analysis._rk4_window(rhs, z0, 4.0, 5, 1e-6)
+    path, h = analysis._rk4_window(rhs, z0, 4.0, 5)
     assert h == 0.0625
     assert raised  # a stage point left the simplex and was rejected
     assert path.shape == (6, 3)
     assert (path > 0.0).all()
     assert np.abs(path.sum(axis=1) - 1.0).max() < 1e-12
+    monkeypatch.setattr(analysis, "_DT_MIN", 1.0)  # the floor is reached
     with pytest.raises(RuntimeError):
-        analysis._rk4_window(rhs, z0, 4.0, 5, 1.0)
+        analysis._rk4_window(rhs, z0, 4.0, 5)
 
 
 def test_unconstrained_point_is_a_fixed_point():

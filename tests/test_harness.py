@@ -42,6 +42,40 @@ def test_unknown_keys_rejected():
                                                 "m": 4, "wat": 1}))
 
 
+def test_graph_block_checked(tmp_path, capsys):
+    # parameters are integers the generator takes, under the generator's own
+    # keys; a graph the generator or the file cannot give is a config error
+    bad_file = tmp_path / "bad.json"
+    bad_file.write_text("{not json")
+    for graph in ({"generator": "linear", "m": 4.7},
+                  {"generator": "linear", "m": "4"},
+                  {"generator": "linear", "m": True},
+                  {"generator": "linear"},
+                  {"generator": "linear", "m": 4, "center": 1},
+                  {"generator": "star", "m": 4, "center": 9},
+                  {"generator": "linear", "m": 1},
+                  {"generator": "two_cliques", "m1": 0, "m2": 3},
+                  {"generator": "ring", "m": 4},
+                  {"file": str(tmp_path / "missing.json")},
+                  {"file": str(bad_file)},
+                  {"file": 0},
+                  {"file": str(bad_file), "generator": "linear"},
+                  [4]):
+        with pytest.raises(ConfigError):
+            harness.parse_config(mini_config(graph=graph))
+    for graph in ({"generator": "linear", "m": 4.7},
+                  {"generator": "linear"},
+                  {"generator": "star", "m": 4, "center": 9},
+                  {"generator": "linear", "m": 1}):
+        path = write_config(tmp_path, mini_config(graph=graph))
+        assert cli.main(["run", "--config", path,
+                         "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    cfg = harness.parse_config(mini_config(graph={"generator": "linear",
+                                                  "m": 4.0}))
+    assert cfg.build_graph().m == 4
+
+
 def test_mu_length_checked():
     with pytest.raises(ConfigError):
         harness.parse_config(mini_config(mu=[1.0, 2.0]))
@@ -94,12 +128,19 @@ def test_bundled_configs_load_and_validate():
         assert cfg.n_steps == 100_000
 
 
-def test_parse_graph_arg():
+def test_parse_graph_arg(capsys):
     assert harness.parse_graph_arg("complete:4").m == 4
     assert harness.parse_graph_arg("star:5:2").neighbors(2) == (1, 2, 3, 4, 5)
     assert harness.parse_graph_arg("two_cliques:2:3").m == 5
-    with pytest.raises(ConfigError):
-        harness.parse_graph_arg("ring:4")
+    assert harness.parse_graph_arg("linear:3").m == 3
+    for text in ("ring:4", "ring", "linear:x", "linear:4.7", "linear:-4",
+                 "linear:", "linear:1", "linear:4:2", "star:4", "star:4:9",
+                 "two_cliques:0:3", "missing.json", "no/such/graph"):
+        with pytest.raises(ConfigError):
+            harness.parse_graph_arg(text)
+    for text in ("linear:x", "linear:1", "star:4:9"):
+        assert cli.main(["analyze", "--kind", "potential", "--graph", text,
+                         "--mu", "1,1,1,1", "--alpha", "1"]) == 2
 
 
 # ---------------------------------------------------------------- run layer
@@ -185,8 +226,9 @@ def test_all_algorithms_run(tmp_path):
 def test_compare_identical_configs_identical_columns():
     a = harness.parse_config(mini_config(name="one"))
     b = harness.parse_config(mini_config(name="two"))
-    ns, cols = harness.compare_experiments([a, b])
+    ns, cols, verdicts = harness.compare_experiments([a, b])
     assert np.array_equal(cols["one"], cols["two"])
+    assert verdicts == {"one": None, "two": None}
     csv_text = harness.comparison_csv(ns, cols)
     header = csv_text.splitlines()[0].split(",")
     assert header == ["n", "one", "two"]
@@ -333,15 +375,27 @@ def test_cli_analyze_missing_params_exit_2(capsys):
     assert cli.main(["analyze", "--kind", "eigenbound"]) == 2
 
 
-def test_cli_compare_assert_failure(tmp_path, capsys):
-    # an impossible acceptance threshold must drive exit code 4
+def test_cli_compare_assert_failure(tmp_path, capsys, monkeypatch):
+    # an impossible acceptance threshold must drive exit code 4, and the
+    # verdicts come from the runs behind the table: one run per config
     doc = mini_config(name="imp", acceptance={"nodes": [2],
                                               "min_fraction": 0.99,
                                               "min_seeds": 3})
-    path = write_config(tmp_path, doc)
-    rc = cli.main(["compare", "--configs", path, "--assert",
+    paths = [write_config(tmp_path, doc),
+             write_config(tmp_path, mini_config(name="plain"), "plain.json")]
+    runs = []
+    run_trajectories = harness.run_trajectories
+
+    def counting(cfg, *args):
+        runs.append(cfg.name)
+        return run_trajectories(cfg, *args)
+
+    monkeypatch.setattr(harness, "run_trajectories", counting)
+    rc = cli.main(["compare", "--configs", *paths, "--assert",
                    "--out", str(tmp_path / "cmp.csv")])
     assert rc == 4
+    assert runs == ["imp", "plain"]
+    assert "acceptance failed: imp" in capsys.readouterr().err
 
 
 def test_out_dir_resolution(tmp_path, monkeypatch):

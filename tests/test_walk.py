@@ -1,4 +1,6 @@
+import ctypes
 import json
+import re
 import shutil
 
 import numpy as np
@@ -190,18 +192,20 @@ def test_replay_frequency_and_mean_recursions():
     g = graphs.make_linear(4)
     rm = walk.RewardModel(mu=np.array([2, 0.25, 0.5, 1.0]), noise_std=0.5)
     cfg = ScheduleConfig(c_mode="explicit_log")
-    traj = walk.run(g, rm, cfg, 3000, seed=21, record_stride=1,
-                    record_rewards=True)
+    traj = walk.run(g, rm, cfg, 3000, seed=21, record_stride=1)
     m = g.m
     assert np.array_equal(traj.xs[0], np.full(m, 1.0 / m))
     # replayed visit counts give every recorded x exactly as S(n)/n, and the
-    # observed-reward running means replay to the final estimates
+    # running means of the observed rewards, rebuilt from the noise stream
+    # (one normal per step), replay to the final estimates
+    z = walk.WalkRng(21).noise.standard_normal(3000)
+    rewards = rm.mu[traj.nodes[1:]] + rm.noise_std * z
     mu_hat = np.zeros(m)
     counts = np.zeros(m, dtype=np.int64)
     for k in range(1, len(traj.ns)):
         node = traj.nodes[k]
         counts[node] += 1
-        mu_hat[node] += (traj.rewards[k - 1] - mu_hat[node]) / counts[node]
+        mu_hat[node] += (rewards[k - 1] - mu_hat[node]) / counts[node]
         assert np.array_equal(traj.xs[k], counts / traj.ns[k])
     assert np.array_equal(mu_hat, traj.final_state.mu_hat)
     assert np.array_equal(counts, traj.final_state.counts)
@@ -354,8 +358,7 @@ def test_slot_batches_match_stepwise_loops_on_unequal_degrees(monkeypatch):
         rm = walk.RewardModel(mu=mu, noise_std=0.5)  # negative estimates occur
         algos = [
             (lambda stride: walk.run_batch(g, rm, cfg, n_steps, seeds,
-                                           record_stride=stride,
-                                           record_rewards=stride == 1),
+                                           record_stride=stride),
              lambda start: walk.WalkState.initial(g, cfg, start),
              lambda st, rng: walk.step(st, g, rm, cfg, rng)),
             (lambda stride: baselines.run_sa_batch(g, rm, sa_cfg, n_steps,
@@ -397,10 +400,6 @@ def test_slot_batches_match_stepwise_loops_on_unequal_degrees(monkeypatch):
                     if traj.final_state is not None:
                         assert np.array_equal(st.counts, traj.final_state.counts)
                         assert np.array_equal(st.mu_hat, traj.final_state.mu_hat)
-                    if traj.rewards is not None:  # one noise normal per step
-                        z = walk.WalkRng(seed).noise.standard_normal(n_steps)
-                        assert np.array_equal(traj.rewards,
-                                              mu[nodes[1:]] + rm.noise_std * z)
     assert not finals
 
 
@@ -423,14 +422,28 @@ def test_engine_build_and_fallback(monkeypatch, tmp_path):
     assert not any((tmp_path / "fresh" / "graphchoice").iterdir())
 
 
+def test_compiled_signature_matches_its_argtypes():
+    # ctypes does not check a call against the C prototype, so a parameter
+    # list and an argtypes list that drift apart read the wrong arguments
+    # without an error: both are kept by hand and compared here
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    params = re.search(r"void gc_run_block\(([^)]*)\)",
+                       _engine.SOURCE.read_text()).group(1).split(",")
+    scalar = {"int32_t": ctypes.c_int32, "int64_t": ctypes.c_int64,
+              "double": ctypes.c_double}
+    declared = [ctypes.c_void_p if "*" in p else scalar[p.split()[0]]
+                for p in params]
+    assert declared == list(_engine.load().argtypes)
+
+
 def test_numpy_fallback_matches_compiled_engine(monkeypatch, tmp_path):
     g = graphs.make_two_cliques(2, 8)
     rm = walk.RewardModel(mu=np.linspace(2.0, 0.2, g.m), noise_std=0.5)
     cfg = ScheduleConfig(c_mode="explicit_log", alpha_mode="cooled",
                          burn_in=10, cool_scale=1.6)
     runs = [
-        lambda: walk.run_batch(g, rm, cfg, 500, range(10), record_stride=3,
-                               record_rewards=True),
+        lambda: walk.run_batch(g, rm, cfg, 500, range(10), record_stride=3),
         lambda: baselines.run_sa_batch(g, rm, baselines.SAConfig(), 500,
                                        range(10), record_stride=3),
         lambda: baselines.run_greedy_batch(g, rm, baselines.GreedyConfig(),
@@ -444,7 +457,7 @@ def test_numpy_fallback_matches_compiled_engine(monkeypatch, tmp_path):
     assert walk.engine_name() == "numpy"
     for run, expected in zip(runs, compiled):
         for traj, want in zip(run(), expected):
-            for name in ("ns", "nodes", "xs", "eps", "alphas", "rewards"):
+            for name in ("ns", "nodes", "xs", "eps", "alphas"):
                 assert np.array_equal(getattr(traj, name), getattr(want, name))
             if want.final_state is not None:
                 assert np.array_equal(traj.final_state.counts,
