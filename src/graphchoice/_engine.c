@@ -1,10 +1,12 @@
 /* Row kernels of graphchoice's batched engine: one call runs a block of steps
- * for every row (seed) of a batch.
+ * for every row (seed) of a batch. A second entry, gc_rk4_window, runs one
+ * RK4 window of the rest-point solver (see the end of the file).
  *
  *     cc -O2 -ffp-contract=off -shared -fPIC -o engine.so _engine.c -lm
  *
- * graphchoice._engine builds and loads this file at the first engine call;
- * walk._run_engine refills the random blocks and assembles the results.
+ * graphchoice._engine builds and loads this file at the first engine call
+ * or RK4 window; walk._run_engine refills the random blocks and assembles
+ * the results.
  *
  * State layout, shared with the numpy loop in walk._run_engine: S (int64
  * visit counts) and mu_hat are (R, m+1) arrays whose column m stays zero;
@@ -32,6 +34,24 @@
  *    new count S as a double.
  *  - libm is not called where its result is fixed: log(0) * alpha = -inf
  *    (alpha > 0), exp(-inf) = 0 and exp(.) * 0 = 0 on SA's padding slots.
+ *
+ * gc_rk4_window follows the numpy reference analysis._rk4_window and the
+ * right-hand sides analysis.replicator_rhs / scaled_rhs, with the same
+ * flags, the same duty to change both sides together, and these rules:
+ *  - f = pow(mu * z, alpha) from libm; phi = f * (A f) / z, A f summed in
+ *    column order as adj * f, so an infinite f gives NaN as in numpy.
+ *  - Replicator: k = z * (phi - z.phi), z.phi summed in order. Scaled:
+ *    v = z * phi, k = v / rowsum(v) - z, rowsum pairwise as above.
+ *  - A stage point with a component outside (0, inf), NaN included, is
+ *    rejected as analysis._as_interior rejects it, and so is a new iterate
+ *    that is not finite and positive: the step is halved, and a step below
+ *    dt_min (analysis._DT_MIN, passed at each call) fails.
+ *  - Stages are z + (0.5 * h) * k1, z + (0.5 * h) * k2 and z + h * k3; the
+ *    update is z + (h / 6) * (((k1 + 2 k2) + 2 k3) + k4).
+ *  - The new iterate is divided by its rowsum when |sum - 1| > 1e-12.
+ *  numpy's power may differ from libm's pow in the last bit, and its dot
+ *  and matmul may add in another order (BLAS), so the two loops agree to
+ *  the ulp, not bit for bit.
  */
 #include <math.h>
 #include <stdint.h>
@@ -194,4 +214,93 @@ void gc_run_block(int32_t kind, int64_t R, int64_t m, int64_t d,
         }
         cur[r] = c;
     }
+}
+
+enum { REPLICATOR = 0, SCALED = 1 };
+
+/* The right-hand side at z into k, or 0 where z is not interior. f holds
+ * m doubles. */
+static int ode_rhs(int32_t dyn, int64_t m, const uint8_t *adj, const double *mu,
+                   double alpha, const double *z, double *k, double *f)
+{
+    for (int64_t i = 0; i < m; i++)
+        if (!(z[i] > 0.0 && z[i] < INFINITY))
+            return 0;
+    for (int64_t i = 0; i < m; i++)
+        f[i] = pow(mu[i] * z[i], alpha);
+    for (int64_t i = 0; i < m; i++) {
+        double af = 0.0;
+        for (int64_t j = 0; j < m; j++)
+            af += (double)adj[i * m + j] * f[j];
+        k[i] = f[i] * af / z[i];
+    }
+    if (dyn == REPLICATOR) {
+        double mean = 0.0;
+        for (int64_t i = 0; i < m; i++)
+            mean += z[i] * k[i];
+        for (int64_t i = 0; i < m; i++)
+            k[i] = z[i] * (k[i] - mean);
+    } else {
+        for (int64_t i = 0; i < m; i++)
+            k[i] = z[i] * k[i];
+        double s = row_sum(k, m);
+        for (int64_t i = 0; i < m; i++)
+            k[i] = k[i] / s - z[i];
+    }
+    return 1;
+}
+
+/* steps RK4 steps of dynamics dyn from z with step *h: the (steps + 1, m)
+ * path, path[0] = z, and the final step in *h. adj is the (m, m) 0/1
+ * adjacency; work holds 6 m doubles. Returns the number of step halvings,
+ * or -1 where the step fell below dt_min. */
+int64_t gc_rk4_window(int32_t dyn, int64_t m, const uint8_t *adj,
+                      const double *mu, double alpha, const double *z,
+                      double *h, int64_t steps, double dt_min, double *path,
+                      double *work)
+{
+    double *k1 = work, *k2 = work + m, *k3 = work + 2 * m, *k4 = work + 3 * m,
+           *y = work + 4 * m, *f = work + 5 * m;
+    double step = *h;
+    int64_t halvings = 0;
+    memcpy(path, z, (size_t)m * sizeof *z);
+    for (int64_t s = 0; s < steps; s++) {
+        const double *zs = path + s * m;
+        double *zn = path + (s + 1) * m;
+        for (;;) {
+            int ok = ode_rhs(dyn, m, adj, mu, alpha, zs, k1, f);
+            if (ok) {
+                for (int64_t i = 0; i < m; i++)
+                    y[i] = zs[i] + (0.5 * step) * k1[i];
+                ok = ode_rhs(dyn, m, adj, mu, alpha, y, k2, f);
+            }
+            if (ok) {
+                for (int64_t i = 0; i < m; i++)
+                    y[i] = zs[i] + (0.5 * step) * k2[i];
+                ok = ode_rhs(dyn, m, adj, mu, alpha, y, k3, f);
+            }
+            if (ok) {
+                for (int64_t i = 0; i < m; i++)
+                    y[i] = zs[i] + step * k3[i];
+                ok = ode_rhs(dyn, m, adj, mu, alpha, y, k4, f);
+            }
+            for (int64_t i = 0; ok && i < m; i++) {
+                zn[i] = zs[i] + (step / 6.0) * (((k1[i] + 2.0 * k2[i])
+                                                 + 2.0 * k3[i]) + k4[i]);
+                ok = zn[i] > 0.0 && zn[i] < INFINITY;
+            }
+            if (ok)
+                break;
+            step *= 0.5;
+            halvings++;
+            if (step < dt_min)
+                return -1;
+        }
+        double sum = row_sum(zn, m);
+        if (fabs(sum - 1.0) > 1e-12)
+            for (int64_t i = 0; i < m; i++)
+                zn[i] = zn[i] / sum;
+    }
+    *h = step;
+    return halvings;
 }

@@ -1,12 +1,13 @@
-"""Build, load and call the compiled row kernels of `_engine.c`.
+"""Build, load and call the compiled row kernels and RK4 window of `_engine.c`.
 
 The library is built on first use, never at import: `cc -O2
 -ffp-contract=off -shared -fPIC ... -lm` into `$XDG_CACHE_HOME/graphchoice`
 (default `~/.cache/graphchoice`), under a name keyed by the sha256 of the
 source and the flags, and renamed into place atomically so that concurrent
 first runs never load a partial file. Where no compiler or cache directory
-is usable, `load` returns None and the engine runs its numpy loop.
-`walk` imports this module at the first engine call, not at import.
+is usable, `load` returns None and the engine and the rest-point solver run
+their numpy loops. `walk` and `analysis` import this module at the first
+engine call or RK4 window, not at import.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ import numpy as np
 
 SOURCE = Path(__file__).with_name("_engine.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-KINDS = {"reinforced": 0, "sa": 1, "greedy": 2}  # the C source's enum
+KINDS = {"reinforced": 0, "sa": 1, "greedy": 2}  # the C source's enums
+DYNAMICS = {"replicator": 0, "scaled": 1}
 
 
 def cache_dir() -> Path:
@@ -46,27 +48,31 @@ def _build(path: Path) -> None:
 
 @functools.cache
 def load():
-    """`gc_run_block` from the compiled library, or None where it cannot be
-    built or loaded."""
+    """The compiled library, its `gc_*` functions typed, or None where it
+    cannot be built or loaded."""
     try:
         key = hashlib.sha256(SOURCE.read_bytes() + " ".join(FLAGS).encode())
         path = cache_dir() / f"engine-{key.hexdigest()[:16]}.so"
         if not path.is_file():
             _build(path)
-        fn = ctypes.CDLL(str(path)).gc_run_block
+        lib = ctypes.CDLL(str(path))
     except (OSError, RuntimeError, subprocess.SubprocessError):
         return None  # RuntimeError: Path.home() finds no home directory
-    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    fn.argtypes = [ctypes.c_int32, i64, i64, i64,  # kind, R, m, d_max
-                   ptr, ptr, ptr, f64,             # ids, uniform, mu, noise_std
-                   ptr, ptr,                       # per-step parameters
-                   i64, i64, i64, i64,             # t0, t1, n_steps, stride
-                   ptr, ptr, i64,                  # U, Z, block width
-                   ptr, ptr, ptr,                  # cur, S, mu_hat
-                   i64, ptr, ptr,                  # snapshots: count, nodes, S
-                   ptr]                            # work
-    fn.restype = None
-    return fn
+    i32, i64, f64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    lib.gc_run_block.argtypes = [i32, i64, i64, i64,  # kind, R, m, d_max
+                                 ptr, ptr, ptr, f64,  # ids, uniform, mu, noise_std
+                                 ptr, ptr,            # per-step parameters
+                                 i64, i64, i64, i64,  # t0, t1, n_steps, stride
+                                 ptr, ptr, i64,       # U, Z, block width
+                                 ptr, ptr, ptr,       # cur, S, mu_hat
+                                 i64, ptr, ptr,       # snapshots: count, nodes, S
+                                 ptr]                 # work
+    lib.gc_run_block.restype = None
+    lib.gc_rk4_window.argtypes = [i32, i64, ptr, ptr, f64,  # dynamics, m, adj, mu, alpha
+                                  ptr, ptr, i64, f64,       # z, h, steps, dt_min
+                                  ptr, ptr]                 # path, work
+    lib.gc_rk4_window.restype = i64
+    return lib
 
 
 def compiled_block(g, rm, kernel, n_steps: int, stride: int, cur, S, mu_hat,
@@ -79,9 +85,10 @@ def compiled_block(g, rm, kernel, n_steps: int, stride: int, cur, S, mu_hat,
     engine's own (R, block) float64 arrays. `run_block` holds the arrays,
     not only their addresses, so none is freed while it can be called.
     """
-    fn = load()
-    if fn is None:
+    lib = load()
+    if lib is None:
         return None
+    fn = lib.gc_run_block
     ids, uniform = g.neighbor_slots
     mu = rm.mu
     kind = KINDS[kernel.kind]
@@ -110,3 +117,30 @@ def compiled_block(g, rm, kernel, n_steps: int, stride: int, cur, S, mu_hat,
            cur.ctypes.data, S.ctypes.data, mu_hat.ctypes.data,
            k, node_mat.ctypes.data, S_snap.ctypes.data, work.ctypes.data)
     return run_block
+
+
+def rk4_window(dynamics: str, g, mu, alpha: float, z, h: float, steps: int,
+               dt_min: float):
+    """`(path, h, halvings)` of `analysis._rk4_window` through
+    `gc_rk4_window`, or None where the library cannot be built or loaded.
+    A step that falls below dt_min raises RuntimeError, as there."""
+    lib = load()
+    if lib is None:
+        return None
+    adj = g.adjacency_bool
+    mu = np.ascontiguousarray(mu, dtype=np.float64)
+    z = np.ascontiguousarray(z, dtype=np.float64)
+    if not (adj.dtype == np.bool_ and adj.flags.c_contiguous and steps >= 0
+            and adj.shape == (g.m, g.m) and mu.shape == z.shape == (g.m,)):
+        raise ValueError("RK4 window needs steps >= 0, an (m, m) contiguous "
+                         "bool adjacency and two length-m vectors")
+    path = np.empty((steps + 1, g.m))
+    h_io = np.array([h], dtype=np.float64)
+    work = np.empty(6 * g.m)
+    halvings = lib.gc_rk4_window(DYNAMICS[dynamics], g.m, adj.ctypes.data,
+                                 mu.ctypes.data, alpha, z.ctypes.data,
+                                 h_io.ctypes.data, steps, dt_min,
+                                 path.ctypes.data, work.ctypes.data)
+    if halvings < 0:
+        raise RuntimeError(f"RK4 step fell below {dt_min}")
+    return path, float(h_io[0]), halvings

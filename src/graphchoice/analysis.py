@@ -207,9 +207,11 @@ def fixed_point_residual(x, g: Graph, mu, alpha: float) -> float:
 
 def _rk4_window(rhs, z, h, steps):
     """Fixed-step RK4 with step halving when an iterate, or an intermediate
-    stage point, leaves the simplex; a step below _DT_MIN raises."""
+    stage point, leaves the simplex; a step below _DT_MIN raises. Returns
+    (path, h, halvings). The numpy reference of `_engine.c`'s window."""
     path = np.empty((steps + 1, z.size))
     path[0] = z
+    halvings = 0
     for k in range(steps):
         while True:
             try:
@@ -226,6 +228,7 @@ def _rk4_window(rhs, z, h, steps):
             if ok:
                 break
             h *= 0.5
+            halvings += 1
             if h < _DT_MIN:
                 raise RuntimeError(f"RK4 step fell below {_DT_MIN}")
         s = z_new.sum()
@@ -233,7 +236,18 @@ def _rk4_window(rhs, z, h, steps):
             z_new = z_new / s
         z = z_new
         path[k + 1] = z
-    return path, h
+    return path, h, halvings
+
+
+def _window(dynamics: str, g: Graph, mu, alpha: float, z, h, steps):
+    """`_rk4_window` of the dynamics in one call to `_engine.c`, or in numpy
+    where the library cannot be built or loaded; the two agree to the ulp."""
+    from . import _engine  # at the first window: importing stays lean
+    out = _engine.rk4_window(dynamics, g, mu, alpha, z, h, steps, _DT_MIN)
+    if out is None:
+        rhs = replicator_rhs if dynamics == "replicator" else scaled_rhs
+        out = _rk4_window(lambda v: rhs(v, g, mu, alpha), z, h, steps)
+    return out
 
 
 def integrate_replicator(z0, g: Graph, mu, alpha: float, dt: float = 0.01,
@@ -247,9 +261,7 @@ def integrate_replicator(z0, g: Graph, mu, alpha: float, dt: float = 0.01,
     alpha = _check_alpha(alpha)
     z = _as_interior(z0, g.m).copy()
     mu = _as_rewards(mu, g.m)
-    path, _ = _rk4_window(lambda v: replicator_rhs(v, g, mu, alpha),
-                          z, float(dt), int(steps))
-    return path
+    return _window("replicator", g, mu, alpha, z, float(dt), int(steps))[0]
 
 
 @dataclass
@@ -262,6 +274,8 @@ class FixedPointResult:
     alpha: float
     converged: bool
     path: np.ndarray | None = None
+    windows: int = 0  # RK4 windows run
+    halvings: int = 0  # RK4 step halvings over all windows
 
 
 def find_fixed_point(g: Graph, mu, alpha: float, z0=None, dt: float = 0.02,
@@ -275,27 +289,25 @@ def find_fixed_point(g: Graph, mu, alpha: float, z0=None, dt: float = 0.02,
     completeness is made. The step size is adapted between windows from the
     current stiffness estimate max|phi - phibar| so the slow tail near a
     corner does not crawl; each window still uses the halving RK4 core.
+    The result counts the windows run and the step halvings in them.
     """
     alpha = _check_alpha(alpha)
     if z0 is None:
         z0 = np.full(g.m, 1.0 / g.m)
     z = _as_interior(z0, g.m).copy()
     mu = _as_rewards(mu, g.m)
-    if dynamics == "replicator":
-        rhs = lambda v: replicator_rhs(v, g, mu, alpha)
-    elif dynamics == "scaled":
-        rhs = lambda v: scaled_rhs(v, g, mu, alpha)
-    else:
+    if dynamics not in ("replicator", "scaled"):
         raise ValueError(f"unknown dynamics {dynamics!r}")
 
     pieces = [z[None, :].copy()] if return_path else None
     h = float(dt)
     res = fixed_point_residual(z, g, mu, alpha)
     converged = res < residual_tol
-    w = 0
+    w = halvings = 0
     while not converged and w < max_windows:
         h_in = h
-        path, h = _rk4_window(rhs, z, h, window)
+        path, h, n_half = _window(dynamics, g, mu, alpha, z, h, window)
+        halvings += n_half
         z = path[-1]
         if return_path:
             pieces.append(path[1:])
@@ -309,7 +321,8 @@ def find_fixed_point(g: Graph, mu, alpha: float, z0=None, dt: float = 0.02,
     return FixedPointResult(
         point=z, residual=res, classification=cls, alpha=alpha,
         converged=converged,
-        path=np.concatenate(pieces, axis=0) if return_path else None)
+        path=np.concatenate(pieces, axis=0) if return_path else None,
+        windows=w, halvings=halvings)
 
 
 def optimal_set(mu) -> np.ndarray:

@@ -63,7 +63,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    g, notes = graphs.load_graph(args.graph, repair=args.repair)
+    g, notes = harness.load_graph_file(args.graph, repair=args.repair)
     issues = graphs.validate(g)
     for note in notes:
         print(f"repair: {note}")
@@ -155,7 +155,8 @@ def _cmd_analyze(args) -> int:
             g, mu, alpha, z0=_parse_floats(args.x) if args.x else None)
         _emit({"kind": kind, "method": "ode", "alpha": alpha,
                "point": fp.point, "residual": fp.residual,
-               "classification": fp.classification, "converged": fp.converged})
+               "classification": fp.classification, "converged": fp.converged,
+               "windows": fp.windows, "halvings": fp.halvings})
         return 0
 
     x = _parse_floats(args.x) if args.x else np.full(g.m, 1.0 / g.m)

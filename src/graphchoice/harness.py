@@ -93,15 +93,23 @@ def build_graph(spec: dict) -> graphs.Graph:
         raise ConfigError(f"unknown graph generator {gen!r}")
     if set(spec) != set(keys):
         raise ConfigError(f"graph keys {sorted(spec)}: {list(keys)} expected")
-    if "file" in spec and not isinstance(spec["file"], str):
-        raise ConfigError("graph file must be a path")
+    if "file" in spec:
+        if not isinstance(spec["file"], str):
+            raise ConfigError("graph file must be a path")
+        return load_graph_file(spec["file"])[0]
     values = [_integer(spec[k], f"graph {k}") for k in keys[1:]]
     try:
-        if "file" in spec:
-            return graphs.load_graph(spec["file"])[0]
         return _GENERATORS[gen][0](*values)
-    except (OSError, TypeError, ValueError) as exc:  # bad size, hub or file
+    except (TypeError, ValueError) as exc:  # bad size or hub
         raise ConfigError(f"bad graph {spec}: {exc}") from exc
+
+
+def load_graph_file(path: str, repair: bool = True):
+    """`graphs.load_graph`, with a missing or malformed file as a ConfigError."""
+    try:
+        return graphs.load_graph(path, repair=repair)
+    except (OSError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad graph file {path!r}: {exc}") from exc
 
 
 def parse_graph_arg(text: str) -> graphs.Graph:
@@ -379,6 +387,11 @@ def compare_experiments(cfgs: list[ExperimentConfig]):
     """
     if not cfgs:
         raise ConfigError("need at least one config to compare")
+    names = [cfg.name for cfg in cfgs]
+    for name in names:
+        if names.count(name) > 1:  # columns and verdicts are keyed by name
+            raise ConfigError(f"compared configs must have distinct names: "
+                              f"{name!r} appears {names.count(name)} times")
     ref = cfgs[0]
     for other in cfgs[1:]:
         if other.graph_spec != ref.graph_spec:

@@ -1,9 +1,10 @@
 import math
+import shutil
 
 import numpy as np
 import pytest
 
-from graphchoice import analysis, graphs
+from graphchoice import _engine, analysis, graphs
 
 MU4 = np.array([2.0, 0.25, 0.5, 1.0])
 
@@ -222,26 +223,77 @@ def test_rhs_arithmetic_matches_the_potential_gradient():
 
 def test_rk4_window_halves_the_step_when_a_stage_leaves_the_simplex(
         monkeypatch):
+    # on both loops: the numpy reference, whose rhs records each rejected
+    # stage point, and the window of _engine.c (numpy again without cc).
+    # In the second case a new iterate leaves the simplex with every stage
+    # inside it: fewer stages are rejected than steps are halved.
     g = graphs.make_complete(3)
-    raised = []
+    cases = [((2.0, 1.0, 1.0), 2.0, (0.98, 0.01, 0.01), 0.0625, 6, 6),
+             ((1.0, 2.0, 1.0), 1.0, (0.5, 0.25, 0.25), 0.5, 3, 2)]
+    for mu, alpha, z0, h_end, halved, stages in cases:
+        mu, z0 = np.array(mu), np.array(z0)
+        raised = []
 
-    def rhs(v):
-        try:
-            return analysis.replicator_rhs(v, g, np.array([2.0, 1.0, 1.0]), 2.0)
-        except ValueError:
-            raised.append(v)
-            raise
+        def rhs(v):
+            try:
+                return analysis.replicator_rhs(v, g, mu, alpha)
+            except ValueError:
+                raised.append(v)
+                raise
 
-    z0 = np.array([0.98, 0.01, 0.01])
-    path, h = analysis._rk4_window(rhs, z0, 4.0, 5)
-    assert h == 0.0625
-    assert raised  # a stage point left the simplex and was rejected
-    assert path.shape == (6, 3)
-    assert (path > 0.0).all()
-    assert np.abs(path.sum(axis=1) - 1.0).max() < 1e-12
-    monkeypatch.setattr(analysis, "_DT_MIN", 1.0)  # the floor is reached
-    with pytest.raises(RuntimeError):
-        analysis._rk4_window(rhs, z0, 4.0, 5)
+        windows = [lambda: analysis._rk4_window(rhs, z0, 4.0, 5),
+                   lambda: analysis._window("replicator", g, mu, alpha, z0,
+                                            4.0, 5)]
+        for window in windows:
+            path, h, halvings = window()
+            assert (h, halvings) == (h_end, halved)
+            assert path.shape == (6, 3)
+            assert (path > 0.0).all()
+            assert np.abs(path.sum(axis=1) - 1.0).max() < 1e-12
+        assert len(raised) == stages
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_DT_MIN", 1.0)  # the floor is reached
+            for window in windows:
+                with pytest.raises(RuntimeError, match="below 1.0"):
+                    window()
+
+
+def test_numpy_fallback_matches_compiled_rk4(monkeypatch):
+    # the same windows through _engine.c and through the numpy reference:
+    # equal decisions and work, points equal to the ulp (libm pow against
+    # numpy's power, BLAS sums against sequential ones)
+    if shutil.which("cc") is not None:
+        assert _engine.load() is not None  # the compiled window is compared
+    rng = np.random.default_rng(10)
+    cases = []
+    for j in range(32):
+        g, mu, z0, alpha = random_instance(rng)
+        cases.append((g, mu, z0, alpha, (0.02, 0.5, 4.0)[j % 3]))
+
+    def solve():
+        out = []
+        for g, mu, z0, alpha, dt in cases:
+            fps = [analysis.find_fixed_point(g, mu, alpha, z0=z0, dt=dt,
+                                             window=100, max_windows=40,
+                                             dynamics=d, return_path=True)
+                   for d in ("replicator", "scaled")]
+            out.append((fps, analysis.integrate_replicator(
+                z0, g, mu, alpha, dt=dt, steps=100)))
+        return out
+
+    compiled = solve()
+    monkeypatch.setattr(_engine, "load", lambda: None)
+    halvings = 0
+    for (fps, path), (want_fps, want_path) in zip(solve(), compiled):
+        for fp, want in zip(fps, want_fps):
+            assert fp.converged == want.converged
+            assert fp.classification == want.classification
+            assert (fp.windows, fp.halvings) == (want.windows, want.halvings)
+            assert np.abs(fp.point - want.point).max() <= 1e-12
+            assert np.abs(fp.path - want.path).max() <= 1e-12
+            halvings += fp.halvings
+        assert np.abs(path - want_path).max() <= 1e-12
+    assert halvings > 0  # the halving rule ran on both loops
 
 
 def test_unconstrained_point_is_a_fixed_point():

@@ -250,6 +250,27 @@ def test_compare_rejects_mismatched_rewards():
         harness.compare_experiments([a, b])
 
 
+def test_compare_rejects_duplicate_names(tmp_path, capsys, monkeypatch):
+    # columns and verdicts are keyed by name: a second config of the same
+    # name would overwrite the first, so it is refused before any run
+    runs = []
+    monkeypatch.setattr(harness, "run_trajectories",
+                        lambda cfg, *args: runs.append(cfg.name))
+    a = harness.parse_config(mini_config(name="dup"))
+    b = harness.parse_config(mini_config(name="dup", seeds=[8, 9]))
+    with pytest.raises(ConfigError, match="'dup'"):
+        harness.compare_experiments([a, harness.parse_config(mini_config()), b])
+    paths = [write_config(tmp_path, mini_config(name="dup")),
+             write_config(tmp_path, mini_config(name="dup", seeds=[8, 9]),
+                          "other.json")]
+    assert cli.main(["compare", "--configs", *paths]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "config"
+    assert "'dup'" in json.loads(captured.err)["message"]
+    assert runs == []
+
+
 # ------------------------------------------------------------------- CLI
 
 def test_cli_run_and_determinism(tmp_path, capsys):
@@ -298,6 +319,18 @@ def test_cli_validate_ok(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
 
 
+def test_cli_validate_bad_graph_file_exits_2(tmp_path, capsys):
+    # a missing file and a malformed edge list are config errors, as they
+    # are in a config's graph block
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"m": 3, "edges": [[1]]}))
+    for path in (str(tmp_path / "nope.json"), str(bad)):
+        assert cli.main(["validate", "--graph", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "config"
+
+
 def test_cli_validate_repairs_asymmetry(tmp_path, capsys):
     gpath = tmp_path / "asym.json"
     gpath.write_text(json.dumps({"m": 3, "edges": [[1, 2], [2, 3]]}))
@@ -330,6 +363,15 @@ def test_cli_analyze_fixedpoint_closed_form(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["method"] == "closed_form"
     assert abs(doc["point"][0] - 0.98) < 5e-3
+
+
+def test_cli_analyze_fixedpoint_reports_the_solver_work(capsys):
+    rc = cli.main(["analyze", "--kind", "fixedpoint", "--graph", "linear:4",
+                   "--mu", "2,0.25,0.5,1", "--alpha", "2"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["method"] == "ode" and doc["converged"]
+    assert doc["windows"] >= 1 and doc["halvings"] >= 0
 
 
 def test_cli_analyze_eigenbound_equality(capsys):

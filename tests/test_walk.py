@@ -428,13 +428,18 @@ def test_compiled_signature_matches_its_argtypes():
     # without an error: both are kept by hand and compared here
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
-    params = re.search(r"void gc_run_block\(([^)]*)\)",
-                       _engine.SOURCE.read_text()).group(1).split(",")
-    scalar = {"int32_t": ctypes.c_int32, "int64_t": ctypes.c_int64,
-              "double": ctypes.c_double}
-    declared = [ctypes.c_void_p if "*" in p else scalar[p.split()[0]]
-                for p in params]
-    assert declared == list(_engine.load().argtypes)
+    scalar = {"void": None, "int32_t": ctypes.c_int32,
+              "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    lib = _engine.load()
+    exported = re.findall(r"^(\w+) (gc_\w+)\(([^)]*)\)",
+                          _engine.SOURCE.read_text(), re.M)
+    assert sorted(name for _, name, _ in exported) == ["gc_rk4_window",
+                                                      "gc_run_block"]
+    for restype, name, params in exported:
+        declared = [ctypes.c_void_p if "*" in p else scalar[p.split()[0]]
+                    for p in params.split(",")]
+        assert declared == list(getattr(lib, name).argtypes), name
+        assert getattr(lib, name).restype is scalar[restype], name
 
 
 def test_numpy_fallback_matches_compiled_engine(monkeypatch, tmp_path):
