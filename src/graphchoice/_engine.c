@@ -8,7 +8,7 @@
  * or RK4 window; walk._run_engine refills the random blocks and assembles
  * the results.
  *
- * State layout, shared with the numpy loop in walk._run_engine: S (int64
+ * State layout, shared with the numpy loop in walk._numpy_block: S (int64
  * visit counts) and mu_hat are (R, m+1) arrays whose column m stays zero;
  * ids/uniform are the (m, d_max) neighbour slots of Graph.neighbor_slots,
  * padded with the sentinel id m and probability 0. U and Z hold one

@@ -15,15 +15,18 @@ running-mean reward estimates exactly like the reinforced walk:
     schedule eps_n = 1/n.
 
 Runs go through the walk module's batched engine and reuse its
-Trajectory/CSV format. Both kernels work on the padded neighbor slots of
-`Graph.neighbor_slots`, so a step costs O(R*d_max): estimates are read
-through the engine's flat (R, m+1) layout, whose zero column m backs the
-padding slots, and the uniform slot rows (0 on padding) supply 1/|N(x)| and
-the mask that keeps padding out of the greedy argmax. The recorded `alpha`
-column holds 1/T_n for annealing and 0 for epsilon-greedy; the `eps` column
-holds 0 for annealing and eps_n for epsilon-greedy. Randomness follows the
-same [init, select, noise] stream protocol as the reinforced walk: one
-selection uniform and one reward normal per step.
+Trajectory/CSV format and its run state, `WalkState`. Both kernels work on
+the padded neighbor slots of `Graph.neighbor_slots`, so a step costs
+O(R*d_max): estimates are read through the engine's flat (R, m+1) layout,
+whose zero column m backs the padding slots, and the uniform slot rows (0 on
+padding) supply 1/|N(x)| and the mask that keeps padding out of the greedy
+argmax. The recorded `alpha` column holds 1/T_n for annealing and 0 for
+epsilon-greedy; the `eps` column holds 0 for annealing and eps_n for
+epsilon-greedy. A state's `sched` holds the same values: (eps=0, temp=T_n)
+for annealing and (eps=eps_n, temp=inf) for epsilon-greedy, so every run
+returns a `final_state` whose `sched` holds the last recorded eps and
+alpha. Randomness follows the same [init, select, noise] stream protocol as
+the reinforced walk: one selection uniform and one reward normal per step.
 """
 from __future__ import annotations
 
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .schedules import exact_log
-from .walk import (Kernel, RewardModel, Trajectory, WalkRng, _run_engine,
-                   _sample_rows, _scatter, _slot_row, observe_and_update_mean)
+from .schedules import ScheduleState, exact_log
+from .walk import (Kernel, RewardModel, Trajectory, WalkRng, WalkState,
+                   _move, _run_engine, _scatter, _slot_row)
 
 
 @dataclass(frozen=True)
@@ -59,37 +62,10 @@ class GreedyConfig:
             raise ValueError("eps_value must be in [0, 1]")
 
 
-@dataclass
-class SAState:
-    n: int
-    current: int
-    counts: np.ndarray
-    mu_hat: np.ndarray
-    temp: float
-
-    @classmethod
-    def initial(cls, g: Graph, start: int) -> "SAState":
-        """State at n = 0 from a 1-based start node; temp is set on first step."""
-        if not 1 <= start <= g.m:
-            raise ValueError(f"start node {start} out of range")
-        return cls(n=0, current=start - 1, counts=np.zeros(g.m, dtype=np.int64),
-                   mu_hat=np.zeros(g.m), temp=math.inf)
-
-
-@dataclass
-class GreedyState:
-    n: int
-    current: int
-    counts: np.ndarray
-    mu_hat: np.ndarray
-    eps: float
-
-    @classmethod
-    def initial(cls, g: Graph, start: int) -> "GreedyState":
-        if not 1 <= start <= g.m:
-            raise ValueError(f"start node {start} out of range")
-        return cls(n=0, current=start - 1, counts=np.zeros(g.m, dtype=np.int64),
-                   mu_hat=np.zeros(g.m), eps=1.0)
+def initial_state(g: Graph, start: int) -> WalkState:
+    """A baseline run at n = 0 from a 1-based start node: both columns
+    record eps = 0 and alpha = 0 there."""
+    return WalkState.initial(g, start, ScheduleState(n=0, eps=0.0, temp=math.inf))
 
 
 def sa_temperature(n: int, cfg: SAConfig) -> float:
@@ -138,43 +114,33 @@ def _require_self_loops(g: Graph) -> None:
                          f"node; node {g.missing_self_loops[0]} has none")
 
 
-def sa_transition_row(state: SAState, g: Graph) -> np.ndarray:
-    """Single-state annealing kernel row (mostly for inspection and tests)."""
+def sa_transition_row(state: WalkState, g: Graph) -> np.ndarray:
+    """Single-state annealing kernel row at the state's temperature."""
     _require_self_loops(g)
     nb, unif, mu_hat = _slot_row(g, state.current, state.mu_hat)
     p = _sa_slots(mu_hat, state.mu_hat[[state.current]],
-                  (nb == state.current)[None, :], unif, state.temp)
+                  (nb == state.current)[None, :], unif, state.sched.temp)
     return _scatter(nb, p[0], g.m)
 
 
-def sa_step(state: SAState, g: Graph, rm: RewardModel, cfg: SAConfig,
-            rng: WalkRng) -> SAState:
-    """One annealing move; observes the reward of the node moved to."""
+def sa_step(state: WalkState, g: Graph, rm: RewardModel, cfg: SAConfig,
+            rng: WalkRng) -> WalkState:
+    """One annealing move at T_{n+1}; observes the reward of the node moved to."""
     _require_self_loops(g)  # before the state changes
-    state.temp = sa_temperature(state.n + 1, cfg)
-    p = sa_transition_row(state, g)
-    u = np.array([rng.select.random()])
-    sel = int(_sample_rows(p[None, :], u)[0])
-    state.counts[sel] += 1
-    observe_and_update_mean(state, sel, rm, rng)
-    state.current = sel
-    state.n += 1
-    return state
+    n = state.n + 1
+    state.sched = ScheduleState(n=n, eps=0.0, temp=sa_temperature(n, cfg))
+    return _move(state, sa_transition_row(state, g), rm, rng)
 
 
-def greedy_step(state: GreedyState, g: Graph, rm: RewardModel,
-                cfg: GreedyConfig, rng: WalkRng) -> GreedyState:
-    """One epsilon-greedy move; observes the reward of the node moved to."""
-    state.eps = greedy_epsilon(state.n + 1, cfg)
+def greedy_step(state: WalkState, g: Graph, rm: RewardModel,
+                cfg: GreedyConfig, rng: WalkRng) -> WalkState:
+    """One epsilon-greedy move at eps_{n+1}; observes the reward of the node
+    moved to."""
+    n = state.n + 1
+    state.sched = ScheduleState(n=n, eps=greedy_epsilon(n, cfg), temp=math.inf)
     nb, unif, mu_hat = _slot_row(g, state.current, state.mu_hat)
-    p = _scatter(nb, _greedy_slots(mu_hat, unif, state.eps)[0], g.m)
-    u = np.array([rng.select.random()])
-    sel = int(_sample_rows(p[None, :], u)[0])
-    state.counts[sel] += 1
-    observe_and_update_mean(state, sel, rm, rng)
-    state.current = sel
-    state.n += 1
-    return state
+    p = _greedy_slots(mu_hat, unif, state.sched.eps)
+    return _move(state, _scatter(nb, p[0], g.m), rm, rng)
 
 
 def run_sa_batch(g: Graph, rm: RewardModel, cfg: SAConfig, n_steps: int,
@@ -185,13 +151,11 @@ def run_sa_batch(g: Graph, rm: RewardModel, cfg: SAConfig, n_steps: int,
     def plan(n_steps):
         with np.errstate(divide="ignore"):  # sa_temperature(n); T_0 = inf
             temp = cfg.gamma / exact_log(1, n_steps + 2)
-        alpha = 1.0 / temp
 
         def rows(t, S, mu_hat, at, nbr, unif):
             return _sa_slots(mu_hat.take(nbr), mu_hat.take(at),
                              nbr == at[:, None], unif, temp[t + 1])
-        return (Kernel("sa", rows, temp[1:]), np.zeros(n_steps + 1),
-                alpha, None)
+        return Kernel("sa", rows, temp[1:]), np.zeros(n_steps + 1), temp
 
     return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)
 
@@ -208,6 +172,6 @@ def run_greedy_batch(g: Graph, rm: RewardModel, cfg: GreedyConfig,
         def rows(t, S, mu_hat, at, nbr, unif):
             return _greedy_slots(mu_hat.take(nbr), unif, eps[t + 1])
         return (Kernel("greedy", rows, eps[1:]), eps,
-                np.zeros(n_steps + 1), None)
+                np.full(n_steps + 1, math.inf))
 
     return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)

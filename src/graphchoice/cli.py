@@ -49,8 +49,6 @@ def _jsonify(value):
         return [float(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if hasattr(value, "__dict__"):
-        return {k: v for k, v in value.__dict__.items() if k != "path"}
     raise TypeError(f"cannot serialize {type(value)}")
 
 

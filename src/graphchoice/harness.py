@@ -159,6 +159,8 @@ def _parse_seeds(spec) -> list[int]:
         raise ConfigError("seeds must be distinct")
     if not seeds:
         raise ConfigError("need at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError("seeds must be nonnegative")
     return seeds
 
 
@@ -173,6 +175,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     for key in ("name", "graph", "mu", "algorithm", "n_steps", "seeds"):
         if key not in doc:
             raise ConfigError(f"missing config key {key!r}")
+    name = doc["name"]  # a directory under the output root
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or "/" in name or os.sep in name):
+        raise ConfigError(f"name must be one path component, got {name!r}")
     algo = doc["algorithm"]
     if algo not in _ALGOS:
         raise ConfigError(f"algorithm must be one of {_ALGOS}")
@@ -192,6 +198,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"bad schedule block: {exc}") from exc
 
     greedy_spec = doc.get("greedy_eps", {})
+    if not isinstance(greedy_spec, dict) or set(greedy_spec) - {"mode", "value"}:
+        raise ConfigError("greedy_eps must be an object with keys mode, value")
     try:
         greedy_eps = baselines.GreedyConfig(
             eps_mode=greedy_spec.get("mode", "one_over_n"),
@@ -213,28 +221,35 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     acceptance = doc.get("acceptance")
     if acceptance is not None:
-        if set(acceptance) - _ACCEPT_KEYS:
-            raise ConfigError("unknown acceptance keys")
-        for key in _ACCEPT_KEYS:
-            if key not in acceptance:
-                raise ConfigError(f"acceptance block missing {key!r}")
+        if not isinstance(acceptance, dict) or set(acceptance) != _ACCEPT_KEYS:
+            raise ConfigError(f"acceptance must have keys {sorted(_ACCEPT_KEYS)}")
         if not isinstance(acceptance["nodes"], list):
             raise ConfigError("acceptance nodes must be a list of node ids")
-        for v in acceptance["nodes"]:
-            _node(v, g.m, "acceptance node")
+        nodes = [_node(v, g.m, "acceptance node") for v in acceptance["nodes"]]
+        if len(set(nodes)) != len(nodes):
+            raise ConfigError("acceptance nodes must be distinct")
+        if not 0 < _number(acceptance["min_fraction"], "min_fraction") <= 1:
+            raise ConfigError("acceptance min_fraction must be in (0, 1]")
+        if _integer(acceptance["min_seeds"], "min_seeds") < 1:
+            raise ConfigError("acceptance min_seeds must be at least 1")
 
     n_steps = _integer(doc["n_steps"], "n_steps")
     stride = _integer(doc.get("record_stride", max(1, n_steps // 100)),
                       "record_stride")
     if n_steps < 1 or stride < 1:
         raise ConfigError("n_steps and record_stride must be positive")
+    noise_std = _number(doc.get("noise_std", 0.0), "noise_std")
+    if noise_std < 0:
+        raise ConfigError("noise_std must be nonnegative")
+    out_dir = doc.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError("out_dir must be a path")
 
     return ExperimentConfig(
-        name=str(doc["name"]), graph_spec=doc["graph"], mu=mu,
-        noise_std=_number(doc.get("noise_std", 0.0), "noise_std"), algorithm=algo,
-        schedule=schedule, n_steps=n_steps, seeds=_parse_seeds(doc["seeds"]),
-        record_stride=stride, start=start, greedy_eps=greedy_eps,
-        acceptance=acceptance, out_dir=doc.get("out_dir"), raw=doc)
+        name=name, graph_spec=doc["graph"], mu=mu, noise_std=noise_std,
+        algorithm=algo, schedule=schedule, n_steps=n_steps,
+        seeds=_parse_seeds(doc["seeds"]), record_stride=stride, start=start,
+        greedy_eps=greedy_eps, acceptance=acceptance, out_dir=out_dir, raw=doc)
 
 
 def bundled_config_names() -> list[str]:

@@ -89,17 +89,18 @@ class ScheduleConfig:
 
 @dataclass(frozen=True)
 class ScheduleState:
-    """Schedule values at step n; alpha is maintained as exactly 1/temp."""
+    """Schedule values at step n; alpha is derived as exactly 1/temp, so an
+    infinite temp (the baselines' records) gives alpha 0."""
 
     n: int
     eps: float
     temp: float
-    alpha: float = field(default=0.0)
+    alpha: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError("eps must be in [0, 1]")
-        if self.temp <= 0:
+        if not self.temp > 0:  # NaN too
             raise ValueError("temp must be positive")
         object.__setattr__(self, "alpha", 1.0 / self.temp)
 
@@ -143,11 +144,9 @@ def _cooling_b(n: int, cfg: ScheduleConfig) -> float:
     return min(_COOL_B_MAX, cfg.cool_scale / (n * math.log(n)))
 
 
-def step_temperature(state: ScheduleState, cfg: ScheduleConfig) -> tuple[float, float]:
-    """(T, alpha) at step n+1. Fixed mode never changes them."""
-    b = _cooling_b(state.n, cfg)
-    temp = (1.0 - b) * state.temp
-    return temp, 1.0 / temp
+def step_temperature(state: ScheduleState, cfg: ScheduleConfig) -> float:
+    """T at step n+1. Fixed mode never changes it."""
+    return (1.0 - _cooling_b(state.n, cfg)) * state.temp
 
 
 def initial_state(cfg: ScheduleConfig) -> ScheduleState:
@@ -163,9 +162,8 @@ def initial_state(cfg: ScheduleConfig) -> ScheduleState:
 
 def advance(state: ScheduleState, cfg: ScheduleConfig) -> ScheduleState:
     """Schedule state at step n+1."""
-    eps = step_epsilon(state, cfg)
-    temp, _ = step_temperature(state, cfg)
-    return ScheduleState(n=state.n + 1, eps=eps, temp=temp)
+    return ScheduleState(n=state.n + 1, eps=step_epsilon(state, cfg),
+                         temp=step_temperature(state, cfg))
 
 
 def exact_log(lo: int, hi: int) -> np.ndarray:

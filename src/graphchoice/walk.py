@@ -88,7 +88,11 @@ class WalkRng:
 
 @dataclass
 class WalkState:
-    """Full state of the recursion at step n (single run, 0-based node)."""
+    """Full state of a run at step n (single run, 0-based node).
+
+    One state serves the reinforced walk and both baselines: only the move
+    row and its schedule differ. `sched` holds the values recorded at n.
+    """
 
     n: int
     current: int
@@ -98,7 +102,7 @@ class WalkState:
     sched: ScheduleState
 
     @classmethod
-    def initial(cls, g: Graph, cfg: ScheduleConfig, start: int) -> "WalkState":
+    def initial(cls, g: Graph, start: int, sched: ScheduleState) -> "WalkState":
         """State at n = 0: uniform x, zero counts and estimates.
 
         `start` is 1-based. The start node constrains the first move but is
@@ -107,24 +111,19 @@ class WalkState:
         """
         if not 1 <= start <= g.m:
             raise ValueError(f"start node {start} out of range")
-        return cls(
-            n=0,
-            current=start - 1,
-            counts=np.zeros(g.m, dtype=np.int64),
-            x=np.full(g.m, 1.0 / g.m),
-            mu_hat=np.zeros(g.m),
-            sched=schedules.initial_state(cfg),
-        )
+        return cls(n=0, current=start - 1, counts=np.zeros(g.m, dtype=np.int64),
+                   x=np.full(g.m, 1.0 / g.m), mu_hat=np.zeros(g.m), sched=sched)
 
 
 @dataclass
 class Trajectory:
     """Recorded (n, node, x, eps, alpha) snapshots at a fixed stride.
 
-    `nodes` are 0-based internally; the CSV emits 1-based ids. `final_state`
-    carries the full end-of-run state. Observed rewards are not stored: the
-    one at step t, arriving at node v, is mu[v] + noise_std * z[t], with z the
-    first n_steps normals of `WalkRng(seed).noise`.
+    `nodes` are 0-based internally; the CSV emits 1-based ids. Every
+    algorithm's run carries its end-of-run state in `final_state`, whose
+    `sched` holds the last recorded eps and alpha. Observed rewards are not
+    stored: the one at step t, arriving at node v, is mu[v] + noise_std *
+    z[t], with z the first n_steps normals of `WalkRng(seed).noise`.
     """
 
     seed: int
@@ -209,20 +208,13 @@ def _scatter(nb: np.ndarray, row: np.ndarray, m: int) -> np.ndarray:
     return out[:m]
 
 
-def transition_probabilities(state: WalkState, g: Graph,
-                             alpha: float | None = None,
-                             eps: float | None = None) -> np.ndarray:
-    """Move distribution over all m nodes from the current state.
-
-    alpha/eps default to the state's schedule values. The result is supported
-    on N(current) and sums to one.
-    """
-    a = state.sched.alpha if alpha is None else alpha
-    e = state.sched.eps if eps is None else eps
+def transition_probabilities(state: WalkState, g: Graph) -> np.ndarray:
+    """Move distribution over all m nodes from the current state, at the
+    state's alpha and eps. The result is supported on N(current) and sums
+    to one."""
+    a, e = state.sched.alpha, state.sched.eps
     if a <= 0:
         raise ValueError("alpha must be positive")
-    if not 0.0 <= e <= 1.0:
-        raise ValueError("eps must be in [0, 1]")
     nb, unif, x, mu_hat = _slot_row(g, state.current, state.x, state.mu_hat)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _scatter(nb, _reinforced_slots(x, mu_hat, unif, a, e)[0], g.m)
@@ -244,9 +236,8 @@ def observe_and_update_mean(state: WalkState, node: int, rm: RewardModel,
                             rng: WalkRng) -> float:
     """Draw the reward observation at `node` (0-based) and fold it into mu_hat.
 
-    Works on any state with `counts` and `mu_hat` (the baselines' too). Must be
-    called after counts[node] was incremented for this arrival; the running
-    mean then divides by the exact observation count.
+    Must be called after counts[node] was incremented for this arrival; the
+    running mean then divides by the exact observation count.
     """
     obs = float(rm.mu[node]) + rm.noise_std * float(rng.noise.standard_normal())
     s = state.counts[node]
@@ -254,18 +245,23 @@ def observe_and_update_mean(state: WalkState, node: int, rm: RewardModel,
     return obs
 
 
-def step(state: WalkState, g: Graph, rm: RewardModel, cfg: ScheduleConfig,
-         rng: WalkRng) -> WalkState:
-    """Advance the walk one step in place; returns the mutated state."""
-    probs = transition_probabilities(state, g)
-    u = np.array([rng.select.random()])
-    sel = int(_sample_rows(probs[None, :], u)[0])
-
+def _move(state: WalkState, probs: np.ndarray, rm: RewardModel,
+          rng: WalkRng) -> WalkState:
+    """The move every algorithm shares: draw the next node from the m-vector
+    row `probs`, count it, observe its reward and advance n, in place."""
+    sel = int(_sample_rows(probs[None, :], np.array([rng.select.random()]))[0])
     state.counts[sel] += 1
     state.x = state.counts / (state.n + 1)
     observe_and_update_mean(state, sel, rm, rng)
     state.current = sel
     state.n += 1
+    return state
+
+
+def step(state: WalkState, g: Graph, rm: RewardModel, cfg: ScheduleConfig,
+         rng: WalkRng) -> WalkState:
+    """Advance the walk one step in place; returns the mutated state."""
+    _move(state, transition_probabilities(state, g), rm, rng)
     state.sched = schedules.advance(state.sched, cfg)
     return state
 
@@ -311,10 +307,10 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
                 record_stride: int, start, plan) -> list[Trajectory]:
     """The batched loop behind `run_batch` and the baselines' batch runners.
 
-    `plan(n_steps)` returns `(kernel, eps_col, alpha_col, final_sched)`: the
-    `Kernel` for steps t -> t+1, the eps/alpha values recorded at n =
-    0..n_steps, and the schedule state stored in each `final_state` (None
-    leaves `final_state` unset). `S` (int64 visit counts) and `mu_hat` are
+    `plan(n_steps)` returns `(kernel, eps_col, temp_col)`: the `Kernel` for
+    steps t -> t+1 and the eps and temperature values at n = 0..n_steps. The
+    alpha column records 1/temp, and each `final_state` gets the schedule
+    state at n_steps. `S` (int64 visit counts) and `mu_hat` are
     flat (R, m+1) arrays whose column m stays zero; a step reads each row's
     neighbor slots through flat indices row*(m+1) + id, padding reading
     column m. The select/noise streams are drawn in blocks of `_BLOCK` per
@@ -347,7 +343,7 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
         raise ValueError("seeds must be distinct")
     if rm.mu.size != g.m:
         raise ValueError("reward vector length != node count")
-    kernel, eps_col, alpha_col, final_sched = plan(n_steps)
+    kernel, eps_col, temp_col = plan(n_steps)
 
     rngs = [WalkRng(s) for s in seeds]
     R, m = len(seeds), g.m
@@ -382,13 +378,15 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
     np.divide(S_snap[:, 1:], ns[1:, None], out=x_mat[:, 1:])
     del S_snap
     eps_snap = eps_col[ns]
-    alpha_snap = alpha_col[ns]
+    alpha_snap = 1.0 / temp_col[ns]
+    sched = ScheduleState(n=n_steps, eps=float(eps_col[n_steps]),
+                          temp=float(temp_col[n_steps]))
 
     out = []
     for r in range(R):
-        final = None if final_sched is None else WalkState(
-            n=n_steps, current=int(node_mat[r, -1]), counts=S_rows[r].copy(),
-            x=S_rows[r] / n_steps, mu_hat=mu_rows[r].copy(), sched=final_sched)
+        final = WalkState(n=n_steps, current=int(node_mat[r, -1]),
+                          counts=S_rows[r].copy(), x=S_rows[r] / n_steps,
+                          mu_hat=mu_rows[r].copy(), sched=sched)
         out.append(Trajectory(
             seed=seeds[r], ns=ns.copy(), nodes=node_mat[r].copy(),
             xs=x_mat[r].copy(), eps=eps_snap.copy(), alphas=alpha_snap.copy(),
@@ -447,8 +445,7 @@ def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
         def rows(t, S, mu_hat, at, nbr, unif):
             return _reinforced_slots(S.take(nbr), mu_hat.take(nbr), unif,
                                      alpha[t], eps[t])
-        return Kernel("reinforced", rows, alpha, eps), eps, alpha, ScheduleState(
-            n=n_steps, eps=float(eps[n_steps]), temp=float(temp[n_steps]))
+        return Kernel("reinforced", rows, alpha, eps), eps, temp
 
     return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)
 

@@ -1,0 +1,48 @@
+"""The benchmark under perfbench/ reaches into the package by attribute name:
+its tracer wraps entry points such as `harness.summarize_from_disk` and
+`walk.Trajectory.to_csv`, and its set-up reads cached `Graph` properties. A
+renamed or deleted name would break only a traced or set-up benchmark run,
+so this test resolves every name those two paths use."""
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+from graphchoice import graphs
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(monkeypatch, name):
+    """perfbench/<name>.py, registered in sys.modules until the test ends:
+    perfbench imports its modules by name, and dataclasses look them up."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_names_resolve_in_the_package(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):  # run.py sets them at import
+        monkeypatch.setenv(var, "1")
+    spans, _, run, workloads = (_load(monkeypatch, name) for name in
+                                ("spans", "outputs", "run", "workloads"))
+    # the modules this process already imported, not a fresh import
+    gc = SimpleNamespace(**{layer: importlib.import_module(f"graphchoice.{layer}")
+                            for layer in workloads.LAYERS})
+    before = {layer: dict(vars(module)) for layer, module in vars(gc).items()}
+    to_csv = gc.walk.Trajectory.to_csv
+    tracer = spans.Tracer()
+    run.install_tracing(tracer, gc)
+    assert gc.walk.Trajectory.to_csv is not to_csv
+    tracer.uninstall()
+    # every wrapped name is back as it was, for the tests that follow
+    assert gc.walk.Trajectory.to_csv is to_csv
+    for layer, names in before.items():
+        module = vars(getattr(gc, layer))
+        assert all(module[k] is v for k, v in names.items()), layer
+    workloads._touch_caches(graphs.make_two_cliques(2, 3))

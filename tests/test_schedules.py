@@ -76,7 +76,8 @@ def test_cooling_arithmetic_from_n2():
     cfg = ScheduleConfig(alpha_mode="cooled", alpha_burn=0.01, burn_in=2,
                          cool_scale=1.0)
     st = ScheduleState(n=2, eps=0.5, temp=100.0)  # alpha(2) = 0.01
-    temp, alpha = schedules.step_temperature(st, cfg)
+    temp = schedules.step_temperature(st, cfg)
+    alpha = schedules.advance(st, cfg).alpha
     expect = 0.01 / (1.0 - 1.0 / (2.0 * math.log(2.0)))
     assert alpha == pytest.approx(expect, rel=1e-12)
     assert alpha == pytest.approx(0.0358872, abs=1e-6)
@@ -245,8 +246,13 @@ def test_config_validation():
         ScheduleConfig(burn_in=True)
     with pytest.raises(ValueError):
         ScheduleState(n=0, eps=1.5, temp=1.0)
+    with pytest.raises(ValueError):
+        ScheduleState(n=0, eps=0.5, temp=math.nan)
+    with pytest.raises(TypeError):  # alpha is derived, never passed
+        ScheduleState(n=3, eps=0.5, temp=2.0, alpha=9.0)
     st = ScheduleState(n=0, eps=0.5, temp=4.0)
     assert st.alpha == 0.25
+    assert ScheduleState(n=0, eps=0.0, temp=math.inf).alpha == 0.0
     # inputs that used to fail only at run time are config errors
     doc = {"schema": 1, "name": "v", "graph": {"generator": "linear", "m": 4},
            "mu": [2.0, 0.25, 0.5, 1.0], "algorithm": "reinforced",
@@ -259,6 +265,24 @@ def test_config_validation():
                 {"mu": [2.0, 0.0, 0.5, 1.0]},
                 {"start": 9},
                 {"start": [1, 9]},
-                {"start": []}):
+                {"start": []},
+                # names that leave the output root or merge into it
+                {"name": "../escape"}, {"name": ""}, {"name": "."},
+                {"name": ".."}, {"name": "a/b"}, {"name": 5},
+                {"acceptance": {**doc["acceptance"], "nodes": [1, 1]}},
+                {"acceptance": {**doc["acceptance"], "min_seeds": -3}},
+                {"acceptance": {**doc["acceptance"], "min_seeds": 0}},
+                {"acceptance": {**doc["acceptance"], "min_seeds": "1"}},
+                {"acceptance": {**doc["acceptance"], "min_fraction": 2.0}},
+                {"acceptance": {**doc["acceptance"], "min_fraction": 0}},
+                {"acceptance": {**doc["acceptance"], "min_fraction": "0.5"}},
+                {"acceptance": {**doc["acceptance"], "min_fraction": math.nan}},
+                {"acceptance": 5},
+                {"greedy_eps": {"mod": "constant"}},
+                {"greedy_eps": 5},
+                {"seeds": [-1]},
+                {"seeds": {"count": 2, "base": -1}},
+                {"noise_std": -1},
+                {"out_dir": 5}):
         with pytest.raises(harness.ConfigError):
             harness.parse_config({**doc, **bad})

@@ -11,13 +11,11 @@ from graphchoice.schedules import ScheduleConfig
 
 
 def _state(g, x, mu_hat, current, n=10, eps=0.0, temp=1.0):
-    st = walk.WalkState.initial(g, ScheduleConfig(), current)
-    st.n = n
-    st.x = np.asarray(x, dtype=float)
-    st.mu_hat = np.asarray(mu_hat, dtype=float)
-    st.counts = np.ones(g.m, dtype=np.int64)
-    st.sched = schedules.ScheduleState(n=n, eps=eps, temp=temp)
-    return st
+    return walk.WalkState(n=n, current=current - 1,
+                          counts=np.ones(g.m, dtype=np.int64),
+                          x=np.asarray(x, dtype=float),
+                          mu_hat=np.asarray(mu_hat, dtype=float),
+                          sched=schedules.ScheduleState(n=n, eps=eps, temp=temp))
 
 
 def test_reward_model_validation():
@@ -33,8 +31,9 @@ def test_reward_model_validation():
 
 def test_pure_exploration_is_uniform_on_neighborhood():
     g = graphs.make_linear(4)
-    st = _state(g, [0.4, 0.3, 0.2, 0.1], [2.0, 0.25, 0.5, 1.0], current=2)
-    p = walk.transition_probabilities(st, g, alpha=1.0, eps=1.0)
+    st = _state(g, [0.4, 0.3, 0.2, 0.1], [2.0, 0.25, 0.5, 1.0], current=2,
+                eps=1.0)
+    p = walk.transition_probabilities(st, g)
     assert np.allclose(p, [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-15)
 
 
@@ -43,14 +42,15 @@ def test_reinforced_row_on_three_chain():
     # weights (1, 0.25, 0.25) -> (2/3, 1/6, 1/6)
     g = graphs.make_linear(3)
     st = _state(g, [0.5, 0.25, 0.25], [2.0, 1.0, 1.0], current=2)
-    p = walk.transition_probabilities(st, g, alpha=1.0, eps=0.0)
+    p = walk.transition_probabilities(st, g)
     assert np.allclose(p, [2 / 3, 1 / 6, 1 / 6], atol=1e-14)
 
 
 def test_large_alpha_concentrates_on_argmax():
     g = graphs.make_linear(3)
-    st = _state(g, [0.5, 0.25, 0.25], [2.0, 1.0, 1.0], current=2)
-    p = walk.transition_probabilities(st, g, alpha=200.0, eps=0.0)
+    st = _state(g, [0.5, 0.25, 0.25], [2.0, 1.0, 1.0], current=2,
+                temp=1 / 200.0)
+    p = walk.transition_probabilities(st, g)
     assert p[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -62,9 +62,9 @@ def test_kernel_rows_are_distributions_on_neighborhoods():
         mu_hat = rng.uniform(0.0, 2.0, g.m)  # zeros/unvisited allowed
         mu_hat[rng.random(g.m) < 0.3] = 0.0
         cur = int(rng.integers(1, g.m + 1))
-        st = _state(g, x, mu_hat, current=cur)
-        p = walk.transition_probabilities(st, g, alpha=rng.uniform(0.1, 8.0),
-                                          eps=rng.uniform(0.0, 1.0))
+        st = _state(g, x, mu_hat, current=cur, temp=1 / rng.uniform(0.1, 8.0),
+                    eps=rng.uniform(0.0, 1.0))
+        p = walk.transition_probabilities(st, g)
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p >= 0.0)
         off = np.ones(g.m, dtype=bool)
@@ -74,24 +74,25 @@ def test_kernel_rows_are_distributions_on_neighborhoods():
 
 def test_reward_scale_invariance_of_kernel():
     g = graphs.make_linear(4)
-    st = _state(g, [0.4, 0.3, 0.2, 0.1], [2.0, 0.25, 0.5, 1.0], current=2)
-    p1 = walk.transition_probabilities(st, g, alpha=1.7, eps=0.2)
+    st = _state(g, [0.4, 0.3, 0.2, 0.1], [2.0, 0.25, 0.5, 1.0], current=2,
+                eps=0.2, temp=1 / 1.7)
+    p1 = walk.transition_probabilities(st, g)
     st.mu_hat = st.mu_hat * 7.3
-    p2 = walk.transition_probabilities(st, g, alpha=1.7, eps=0.2)
+    p2 = walk.transition_probabilities(st, g)
     assert np.abs(p1 - p2).max() < 1e-12
 
 
 def test_nonpositive_estimates_carry_no_weight():
     g = graphs.make_linear(3)
     st = _state(g, [0.5, 0.25, 0.25], [2.0, -0.4, 1.0], current=2)
-    p = walk.transition_probabilities(st, g, alpha=1.0, eps=0.0)
+    p = walk.transition_probabilities(st, g)
     assert p[1] == 0.0
 
 
 def test_all_zero_neighborhood_falls_back_to_uniform():
     g = graphs.make_linear(4)
     st = _state(g, [0.25] * 4, [0.0] * 4, current=2)
-    p = walk.transition_probabilities(st, g, alpha=1.0, eps=0.0)
+    p = walk.transition_probabilities(st, g)
     assert np.allclose(p, [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-15)
 
 
@@ -99,7 +100,7 @@ def test_running_mean_first_and_second_visit():
     g = graphs.make_linear(3)
     cfg = ScheduleConfig()
     rng = walk.WalkRng(0)
-    st = walk.WalkState.initial(g, cfg, 1)
+    st = walk.WalkState.initial(g, 1, schedules.initial_state(cfg))
     rm = walk.RewardModel(mu=np.array([0.7, 1.0, 1.0]), noise_std=0.0)
     st.counts[0] = 1
     obs = walk.observe_and_update_mean(st, 0, rm, rng)
@@ -164,9 +165,15 @@ def test_batch_runs_bit_identical_to_single_runs():
             solo = run_one(seed)
             for name in ("ns", "nodes", "xs", "eps", "alphas"):
                 assert np.array_equal(getattr(solo, name), getattr(traj, name))
-            if solo.final_state is not None:
-                assert np.array_equal(solo.final_state.mu_hat,
-                                      traj.final_state.mu_hat)
+            assert np.array_equal(solo.final_state.mu_hat,
+                                  traj.final_state.mu_hat)
+            # every algorithm's final state: all steps counted, and the
+            # schedule values of the last recorded row, bit for bit
+            fin = traj.final_state
+            assert fin.n == fin.counts.sum() == 1500
+            assert fin.sched.n == 1500
+            assert np.array_equal([fin.sched.eps, fin.sched.alpha],
+                                  [traj.eps[-1], traj.alphas[-1]])
 
 
 def test_stepwise_loop_matches_run():
@@ -176,7 +183,7 @@ def test_stepwise_loop_matches_run():
                          burn_in=5, cool_scale=2.0)
     rng = walk.WalkRng(7)
     start = int(rng.init.integers(0, g.m)) + 1
-    st = walk.WalkState.initial(g, cfg, start)
+    st = walk.WalkState.initial(g, start, schedules.initial_state(cfg))
     for _ in range(800):
         st = walk.step(st, g, rm, cfg, rng)
     traj = walk.run(g, rm, cfg, 800, seed=7)
@@ -332,22 +339,12 @@ DIFFERENTIAL_GRAPHS = UNEQUAL_DEGREE_GRAPHS + [graphs.make_two_cliques(2, 8),
                                                graphs.make_star(200, 1)]
 
 
-def test_slot_batches_match_stepwise_loops_on_unequal_degrees(monkeypatch):
+def test_slot_batches_match_stepwise_loops_on_unequal_degrees():
     # 20 seeds on each of five graphs: 100 seeds per algorithm, each batch
     # at stride 1 and at stride 7 against the numpy stepwise loop, through
-    # the compiled row kernels wherever a C compiler exists. The engine's
-    # final S and mu_hat buffers are read where it hands them to
-    # compiled_block, so the baselines' estimates are compared too.
+    # the compiled row kernels wherever a C compiler exists; every
+    # algorithm's final state (counts, estimates, schedule) is compared too
     assert walk.engine_name() == "c" or shutil.which("cc") is None
-    finals = []
-    compiled_block = _engine.compiled_block
-
-    def capturing(g, rm, kernel, n_steps, stride, cur, S, mu_hat, *rest):
-        finals.append((S, mu_hat))
-        return compiled_block(g, rm, kernel, n_steps, stride, cur, S, mu_hat,
-                              *rest)
-
-    monkeypatch.setattr(_engine, "compiled_block", capturing)
     n_steps = 300
     cfg = ScheduleConfig(c_mode="explicit_log", alpha_mode="cooled",
                          burn_in=10, cool_scale=1.6)
@@ -359,25 +356,21 @@ def test_slot_batches_match_stepwise_loops_on_unequal_degrees(monkeypatch):
         algos = [
             (lambda stride: walk.run_batch(g, rm, cfg, n_steps, seeds,
                                            record_stride=stride),
-             lambda start: walk.WalkState.initial(g, cfg, start),
+             lambda start: walk.WalkState.initial(
+                 g, start, schedules.initial_state(cfg)),
              lambda st, rng: walk.step(st, g, rm, cfg, rng)),
             (lambda stride: baselines.run_sa_batch(g, rm, sa_cfg, n_steps,
                                                    seeds, record_stride=stride),
-             lambda start: baselines.SAState.initial(g, start),
+             lambda start: baselines.initial_state(g, start),
              lambda st, rng: baselines.sa_step(st, g, rm, sa_cfg, rng)),
             (lambda stride: baselines.run_greedy_batch(g, rm, gr_cfg, n_steps,
                                                        seeds,
                                                        record_stride=stride),
-             lambda start: baselines.GreedyState.initial(g, start),
+             lambda start: baselines.initial_state(g, start),
              lambda st, rng: baselines.greedy_step(st, g, rm, gr_cfg, rng)),
         ]
         for run, initial, advance in algos:
-            batches = []
-            for stride in (1, 7):
-                trajs = run(stride)
-                S, mu_hat = (v.reshape(len(seeds), g.m + 1)[:, :g.m]
-                             for v in finals.pop())
-                batches.append((stride, trajs, S, mu_hat))
+            batches = [(stride, run(stride)) for stride in (1, 7)]
             for r, seed in enumerate(seeds):
                 rng = walk.WalkRng(seed)
                 st = initial(int(rng.init.integers(0, g.m)) + 1)
@@ -387,7 +380,7 @@ def test_slot_batches_match_stepwise_loops_on_unequal_degrees(monkeypatch):
                     st = advance(st, rng)
                     nodes.append(st.current)
                     counts.append(st.counts.copy())
-                for stride, trajs, S, mu_hat in batches:
+                for stride, trajs in batches:
                     traj = trajs[r]
                     snap = traj.ns
                     assert np.array_equal(snap, np.unique(
@@ -395,12 +388,10 @@ def test_slot_batches_match_stepwise_loops_on_unequal_degrees(monkeypatch):
                     assert np.array_equal(traj.nodes, np.array(nodes)[snap])
                     assert np.array_equal(
                         traj.xs[1:], np.array(counts)[snap[1:]] / snap[1:, None])
-                    assert np.array_equal(S[r], st.counts)
-                    assert np.array_equal(mu_hat[r], st.mu_hat)
-                    if traj.final_state is not None:
-                        assert np.array_equal(st.counts, traj.final_state.counts)
-                        assert np.array_equal(st.mu_hat, traj.final_state.mu_hat)
-    assert not finals
+                    fin = traj.final_state
+                    assert np.array_equal(fin.counts, st.counts)
+                    assert np.array_equal(fin.mu_hat, st.mu_hat)
+                    assert fin.sched == st.sched
 
 
 def test_engine_build_and_fallback(monkeypatch, tmp_path):
@@ -464,11 +455,10 @@ def test_numpy_fallback_matches_compiled_engine(monkeypatch, tmp_path):
         for traj, want in zip(run(), expected):
             for name in ("ns", "nodes", "xs", "eps", "alphas"):
                 assert np.array_equal(getattr(traj, name), getattr(want, name))
-            if want.final_state is not None:
-                assert np.array_equal(traj.final_state.counts,
-                                      want.final_state.counts)
-                assert np.array_equal(traj.final_state.mu_hat,
-                                      want.final_state.mu_hat)
+            assert np.array_equal(traj.final_state.counts,
+                                  want.final_state.counts)
+            assert np.array_equal(traj.final_state.mu_hat,
+                                  want.final_state.mu_hat)
     harness.run_experiment(exp_cfg, str(tmp_path))
     for seed in exp_cfg.seeds:
         meta = json.loads((tmp_path / exp_cfg.name / str(seed) / "meta.json")
@@ -569,7 +559,7 @@ def test_greedy_argmax_never_picks_a_padding_slot():
     g = graphs.make_star(9, 1)
     cfg = baselines.GreedyConfig(eps_mode="constant", eps_value=0.0)
     rm = walk.RewardModel(mu=np.ones(g.m), noise_std=0.0)
-    st = baselines.GreedyState.initial(g, 5)
+    st = baselines.initial_state(g, 5)
     st.mu_hat = -np.arange(1.0, g.m + 1)  # node 1 (the hub) is the best
     st = baselines.greedy_step(st, g, rm, cfg, walk.WalkRng(0))
     assert st.current == 0
