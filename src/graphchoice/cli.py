@@ -78,8 +78,7 @@ def _cmd_compare(args) -> int:
     ns, columns, verdicts = harness.compare_experiments(cfgs)
     csv_text = harness.comparison_csv(ns, columns)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
+        harness._write_text_atomically(args.out, csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.check:

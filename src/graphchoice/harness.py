@@ -8,11 +8,12 @@ budget. Runs are written one directory per seed:
     <out>/<name>/<seed>/meta.json          seed, config hash, rng protocol, engine
     <out>/<name>/summary.json              per-seed finals + aggregates
 
-Summaries are computed by reading the persisted trajectory files back, so
-they are reproducible from the artifacts alone. Everything is deterministic
-given (config, seeds): rerunning produces byte-identical files. Each file
-is written under a temporary name beside it and renamed into place, so an
-interrupted run leaves the previous file whole.
+Summaries are computed from the persisted trajectory files, so they are
+reproducible from the artifacts alone: each `trajectory.csv` gives its
+header and its final row, and the rows between are not parsed again.
+Everything is deterministic given (config, seeds): rerunning produces
+byte-identical files. Each file is written under a temporary name beside it
+and renamed into place, so an interrupted run leaves the previous file whole.
 """
 from __future__ import annotations
 
@@ -309,13 +310,36 @@ def _acceptance_verdict(cfg: ExperimentConfig, finals: dict[int, list[float]]):
             "passed": hits >= acc["min_seeds"]}
 
 
+def _final_x(path: str) -> list[float]:
+    """x_1..x_m of a trajectory CSV's final row. The header gives m; the row
+    is read from the end of the file in a block that doubles until it holds
+    the newline before the row, so the rows between are never parsed."""
+    with open(path, "rb") as fh:
+        m = len(fh.readline().split(b",")) - 4
+        size = fh.seek(0, os.SEEK_END)
+        span = 4096
+        while True:
+            start = fh.seek(max(size - span, 0))
+            block = fh.read()
+            cut = block.rfind(b"\n", 0, len(block) - 1)
+            if cut >= 0 or start == 0:
+                break
+            span *= 2
+    fields = block[cut + 1:-1].split(b",")
+    if m < 1 or not block.endswith(b"\n") or len(fields) != 4 + m:
+        raise ValueError(f"{path}: no complete final row of {4 + m} fields")
+    try:
+        return [float(v) for v in fields[4:]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: bad final row ({exc})") from None
+
+
 def summarize_from_disk(cfg: ExperimentConfig, exp_dir: str) -> dict:
-    """Aggregate summary recomputed purely from the persisted trajectories."""
-    finals = {}
-    for seed in cfg.seeds:
-        path = os.path.join(exp_dir, str(seed), "trajectory.csv")
-        traj = walk.read_trajectory_csv(path, seed=seed)
-        finals[seed] = [float(v) for v in traj.xs[-1]]
+    """Aggregate summary recomputed from the persisted trajectories: the
+    header and final row of each seed's `trajectory.csv`, not the rows
+    between (`_final_x`)."""
+    finals = {seed: _final_x(os.path.join(exp_dir, str(seed), "trajectory.csv"))
+              for seed in cfg.seeds}
     mat = np.array([finals[s] for s in cfg.seeds])
     summary = {
         "schema": _SCHEMA,
@@ -341,7 +365,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
     With `seed_override` only that seed runs; its summary is returned but not
     written, so the full run's `summary.json` stays intact.
     """
-    seeds = cfg.seeds if seed_override is None else [int(seed_override)]
+    seeds = cfg.seeds if seed_override is None else _parse_seeds([seed_override])
     cfg = ExperimentConfig(**{**cfg.__dict__, "seeds": seeds})
     trajs = run_trajectories(cfg)
     exp_dir = os.path.join(out_dir, cfg.name)
@@ -383,14 +407,16 @@ def _replace_atomically(path: str, write) -> None:
         raise
 
 
-def _write_json_atomically(path: str, doc: dict) -> None:
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-
+def _write_text_atomically(path: str, text: str) -> None:
     def write(tmp: str) -> None:
         with open(tmp, "w") as fh:
             fh.write(text)
 
     _replace_atomically(path, write)
+
+
+def _write_json_atomically(path: str, doc: dict) -> None:
+    _write_text_atomically(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def compare_experiments(cfgs: list[ExperimentConfig]):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,55 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):
     assert sorted(os.listdir(seed_dir)) == listing
 
 
+def test_summary_reads_a_final_row_longer_than_one_block(tmp_path):
+    # an m = 512 row is about 10 KB, more than the first 4096-byte block
+    doc = mini_config(graph={"generator": "complete", "m": 512},
+                      mu=[1.0 + i / 512 for i in range(512)], n_steps=3000,
+                      seeds=[3], record_stride=1500)
+    out = str(tmp_path / "runs")
+    summary = harness.run_experiment(harness.parse_config(doc), out)
+    path = os.path.join(out, "mini", "3", "trajectory.csv")
+    with open(path, "rb") as fh:
+        assert len(fh.read().rsplit(b"\n", 2)[-2]) > 4096
+    assert summary["final_x"]["3"] == walk.read_trajectory_csv(path).xs[-1].tolist()
+
+
+def test_summary_matches_the_in_memory_finals_for_every_algorithm(tmp_path):
+    for algo in ("reinforced", "sa", "greedy"):
+        cfg = harness.parse_config(mini_config(algorithm=algo))
+        out = str(tmp_path / algo)
+        summary = harness.run_experiment(cfg, out)
+        trajs = harness.run_trajectories(cfg)
+        assert summary["final_x"] == {str(t.seed): t.xs[-1].tolist()
+                                      for t in trajs}
+
+
+@pytest.mark.parametrize("cut", ["header_only", "short_last_row"])
+def test_summary_rejects_a_file_without_a_whole_final_row(tmp_path, cut):
+    cfg = harness.parse_config(mini_config())
+    out = str(tmp_path / "runs")
+    harness.run_experiment(cfg, out)
+    path = os.path.join(out, "mini", "6", "trajectory.csv")
+    with open(path) as fh:
+        lines = fh.read().splitlines(keepends=True)
+    text = lines[0] if cut == "header_only" else "".join(lines)[:-9]
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError, match=re.escape(path)):
+        harness.summarize_from_disk(cfg, os.path.join(out, "mini"))
+
+
+def test_run_experiment_does_not_parse_whole_trajectories(tmp_path,
+                                                          monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the summary parsed a whole trajectory")
+
+    monkeypatch.setattr(walk, "read_trajectory_csv", refuse)
+    cfg = harness.parse_config(mini_config())
+    summary = harness.run_experiment(cfg, str(tmp_path / "runs"))
+    assert sorted(summary["final_x"]) == ["5", "6", "7"]
+
+
 def test_all_algorithms_run(tmp_path):
     for algo in ("reinforced", "sa", "greedy"):
         cfg = harness.parse_config(mini_config(name=f"mini_{algo}",
@@ -279,6 +329,14 @@ def test_cli_run_and_determinism(tmp_path, capsys):
     assert cli.main(["run", "--config", path, "--out", out]) == 0
     captured = capsys.readouterr().out
     assert json.loads(captured)["name"] == "mini"
+
+
+def test_cli_negative_seed_override_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "runs")
+    assert cli.main(["run", "--config", write_config(tmp_path, mini_config()),
+                     "--seed-override", "-1", "--out", out]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not os.path.exists(out)
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):
@@ -438,6 +496,26 @@ def test_cli_compare_assert_failure(tmp_path, capsys, monkeypatch):
     assert rc == 4
     assert runs == ["imp", "plain"]
     assert "acceptance failed: imp" in capsys.readouterr().err
+
+
+def test_failed_compare_write_keeps_the_previous_table(tmp_path,
+                                                      monkeypatch, capsys):
+    path = write_config(tmp_path, mini_config())
+    out = tmp_path / "cmp.csv"
+    assert cli.main(["compare", "--configs", path, "--out", str(out)]) == 0
+    before = out.read_bytes()
+    listing = sorted(os.listdir(tmp_path))
+
+    def no_rename(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", no_rename)
+    doc = mini_config(n_steps=400)  # another table, so a plain write would show
+    path = write_config(tmp_path, doc, "other.json")
+    listing.append("other.json")
+    assert cli.main(["compare", "--configs", path, "--out", str(out)]) == 3
+    assert out.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == sorted(listing)
 
 
 def test_out_dir_resolution(tmp_path, monkeypatch):
