@@ -5,8 +5,8 @@
  *     cc -O2 -ffp-contract=off -shared -fPIC -o engine.so _engine.c -lm
  *
  * graphchoice._engine builds and loads this file at the first engine call
- * or RK4 window; walk._run_engine refills the random blocks and assembles
- * the results.
+ * or RK4 window; walk._run_engine refills the random blocks, passes the
+ * schedule columns (see gc_run_block) and assembles the results.
  *
  * State layout, shared with the numpy loop in walk._numpy_block: S (int64
  * visit counts) and mu_hat are (R, m+1) arrays whose column m stays zero;
@@ -166,18 +166,19 @@ static int64_t sample_slot(const double *p, int64_t d, double u)
     return sel;
 }
 
-/* Steps t0 <= t < t1 of an n_steps run for all R rows. pa/pb are the
- * per-step parameters indexed by t: (alpha, eps) for REINFORCED, (temp,
- * NULL) for SA and (eps, NULL) for GREEDY. U and Z are (R, ublock) with column
- * t - t0 for step t. cur (R) holds each row's current node and is updated.
- * After step t, n = t + 1; where n % stride == 0 or n == n_steps, the node
- * and the S row go to snapshot j = ceil(n / stride) of the (R, n_snaps)
- * node buffer and the (R, n_snaps, m) count buffer. work holds d_max
- * doubles. */
+/* Steps t0 <= t < t1 of an n_steps run for all R rows. eps, alpha and temp
+ * are the schedule columns that step t reads at index t, rows n = t of the
+ * walk's recorded columns and n = t + 1 of the baselines': REINFORCED reads
+ * alpha[t] and eps[t], SA temp[t] and GREEDY eps[t]. U and Z are (R, ublock)
+ * with column t - t0 for step t. cur (R) holds each row's current node and
+ * is updated. After step t, n = t + 1; where n % stride == 0 or
+ * n == n_steps, the node and the S row go to snapshot j = ceil(n / stride)
+ * of the (R, n_snaps) node buffer and the (R, n_snaps, m) count buffer.
+ * work holds d_max doubles. */
 void gc_run_block(int32_t kind, int64_t R, int64_t m, int64_t d,
                   const int64_t *ids, const double *uniform,
                   const double *mu, double noise_std,
-                  const double *pa, const double *pb,
+                  const double *eps, const double *alpha, const double *temp,
                   int64_t t0, int64_t t1, int64_t n_steps, int64_t stride,
                   const double *U, const double *Z, int64_t ublock,
                   int64_t *cur, int64_t *S, double *mu_hat,
@@ -193,11 +194,11 @@ void gc_run_block(int32_t kind, int64_t R, int64_t m, int64_t d,
             const int64_t *nb = ids + c * d;
             const double *un = uniform + c * d;
             if (kind == REINFORCED)
-                reinforced_row(work, nb, un, Sr, Mr, d, pa[t], pb[t]);
+                reinforced_row(work, nb, un, Sr, Mr, d, alpha[t], eps[t]);
             else if (kind == SA)
-                sa_row(work, nb, un, Mr, d, c, pa[t]);
+                sa_row(work, nb, un, Mr, d, c, temp[t]);
             else
-                greedy_row(work, nb, un, Mr, d, pa[t]);
+                greedy_row(work, nb, un, Mr, d, eps[t]);
             c = nb[sample_slot(work, d, Ur[t - t0])];
 
             Sr[c] += 1;

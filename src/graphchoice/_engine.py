@@ -61,7 +61,7 @@ def load():
     i32, i64, f64, ptr = ctypes.c_int32, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     lib.gc_run_block.argtypes = [i32, i64, i64, i64,  # kind, R, m, d_max
                                  ptr, ptr, ptr, f64,  # ids, uniform, mu, noise_std
-                                 ptr, ptr,            # per-step parameters
+                                 ptr, ptr, ptr,       # eps, alpha, temp
                                  i64, i64, i64, i64,  # t0, t1, n_steps, stride
                                  ptr, ptr, i64,       # U, Z, block width
                                  ptr, ptr, ptr,       # cur, S, mu_hat
@@ -75,12 +75,13 @@ def load():
     return lib
 
 
-def compiled_block(g, rm, kernel, n_steps: int, stride: int, cur, S, mu_hat,
-                   node_mat, S_snap):
+def compiled_block(g, rm, kind: str, columns, n_steps: int, stride: int,
+                   cur, S, mu_hat, node_mat, S_snap):
     """`run_block(t0, t1, U, Z)` for `walk._run_engine` through
     `gc_run_block`, or None where the library cannot be built or loaded.
 
-    Every buffer of the run is checked here to be C-contiguous with the
+    `columns` are the eps, alpha and temp values that step t reads at index
+    t. Every buffer of the run is checked here to be C-contiguous with the
     dtype and length the C side reads; the random blocks `U`, `Z` are the
     engine's own (R, block) float64 arrays. `run_block` holds the arrays,
     not only their addresses, so none is freed while it can be called.
@@ -89,30 +90,28 @@ def compiled_block(g, rm, kernel, n_steps: int, stride: int, cur, S, mu_hat,
     if lib is None:
         return None
     fn = lib.gc_run_block
+    code = KINDS[kind]
     ids, uniform = g.neighbor_slots
     mu = rm.mu
-    kind = KINDS[kernel.kind]
-    params = [np.ascontiguousarray(v, dtype=np.float64)
-              for v in (kernel.a, kernel.b) if v is not None]
-    if len(params) != (2 if kernel.kind == "reinforced" else 1):
-        raise ValueError(f"wrong parameter count for the {kernel.kind!r} kernel")
-    if min(v.size for v in params) < n_steps:
-        raise ValueError("kernel parameters cover fewer steps than the run")
-    a, b = (*params, None)[:2]  # b is NULL for the one-parameter kernels
+    eps, alpha, temp = columns
+    if min(eps.size, alpha.size, temp.size) < n_steps:
+        raise ValueError("schedule columns cover fewer steps than the run")
     R, k, m = S_snap.shape
     work = np.empty(ids.shape[1])
-    arrays = (ids, uniform, mu, *params, cur, S, mu_hat, node_mat, S_snap, work)
+    arrays = (ids, uniform, mu, *columns, cur, S, mu_hat, node_mat, S_snap,
+              work)
     if not all(v.flags.c_contiguous for v in arrays):
         raise ValueError("engine buffers must be C-contiguous")
+    floats = (uniform, mu, *columns, mu_hat)
     if ({v.dtype for v in (ids, cur, S, node_mat, S_snap)} != {np.dtype(np.int64)}
-            or {v.dtype for v in (uniform, mu, mu_hat)} != {np.dtype(np.float64)}):
-        raise ValueError("engine buffers must be int64 (indices, counts) "
-                         "or float64 (probabilities, rewards, estimates)")
+            or {v.dtype for v in floats} != {np.dtype(np.float64)}):
+        raise ValueError("engine buffers must be int64 (indices, counts) or "
+                         "float64 (probabilities, rewards, schedules, estimates)")
 
     def run_block(t0, t1, U, Z):
-        fn(kind, R, m, ids.shape[1], ids.ctypes.data, uniform.ctypes.data,
-           mu.ctypes.data, rm.noise_std, a.ctypes.data,
-           None if b is None else b.ctypes.data,
+        fn(code, R, m, ids.shape[1], ids.ctypes.data,
+           uniform.ctypes.data, mu.ctypes.data, rm.noise_std,
+           eps.ctypes.data, alpha.ctypes.data, temp.ctypes.data,
            t0, t1, n_steps, stride, U.ctypes.data, Z.ctypes.data, U.shape[1],
            cur.ctypes.data, S.ctypes.data, mu_hat.ctypes.data,
            k, node_mat.ctypes.data, S_snap.ctypes.data, work.ctypes.data)

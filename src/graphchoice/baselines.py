@@ -15,7 +15,11 @@ running-mean reward estimates exactly like the reinforced walk:
     schedule eps_n = 1/n.
 
 Runs go through the walk module's batched engine and reuse its
-Trajectory/CSV format and its run state, `WalkState`. Both kernels work on
+Trajectory/CSV format and its run state, `WalkState`. Each batch runner
+hands the engine its kernel's name and the eps and temperature columns it
+records; step n -> n+1 reads them at n + 1. Both row kernels, `_sa_slots`
+and `_greedy_slots`, live in `walk` beside the reinforced one, as in
+`_engine.c`, and the stepwise references here call them. They work on
 the padded neighbor slots of `Graph.neighbor_slots`, so a step costs
 O(R*d_max): estimates are read through the engine's flat (R, m+1) layout,
 whose zero column m backs the padding slots, and the uniform slot rows (0 on
@@ -37,8 +41,8 @@ import numpy as np
 
 from .graphs import Graph
 from .schedules import ScheduleState, exact_log
-from .walk import (Kernel, RewardModel, Trajectory, WalkRng, WalkState,
-                   _move, _run_engine, _scatter, _slot_row)
+from .walk import (RewardModel, Trajectory, WalkRng, WalkState, _greedy_slots,
+                   _move, _run_engine, _sa_slots, _scatter, _slot_row)
 
 
 @dataclass(frozen=True)
@@ -83,29 +87,6 @@ def greedy_epsilon(n: int, cfg: GreedyConfig) -> float:
     return 1.0 / n
 
 
-def _sa_slots(mu_hat, mu_cur, own, unif, temp: float) -> np.ndarray:
-    """Annealing rows over neighbor slots; the own slot takes the leftover mass.
-
-    `mu_hat` holds the estimates on each row's (R, d_max) slots, `mu_cur` the
-    estimate at the current node, `own` marks the current node's slot (its
-    self-loop) and `unif` is the uniform slot rows, 0 on padding.
-    """
-    drop = mu_cur[:, None] - mu_hat  # positive part penalizes downhill
-    p = np.exp(-np.maximum(drop, 0.0) / temp) * unif
-    p[own] = 0.0
-    p[own] = 1.0 - p.sum(axis=1)
-    return p
-
-
-def _greedy_slots(mu_hat, unif, eps: float) -> np.ndarray:
-    """Epsilon-greedy rows over neighbor slots; argmax ties go to the lowest
-    slot, which is the lowest node id because slots are sorted."""
-    best = np.where(unif > 0, mu_hat, -np.inf).argmax(axis=1)
-    p = eps * unif
-    p[np.arange(best.size), best] += 1.0 - eps
-    return p
-
-
 def _require_self_loops(g: Graph) -> None:
     """Annealing leaves its unused mass on the self-loop, so every node needs
     one: without it the row would not be stochastic."""
@@ -148,30 +129,23 @@ def run_sa_batch(g: Graph, rm: RewardModel, cfg: SAConfig, n_steps: int,
     """Seeded annealing runs, one per seed, sharing (g, rm, cfg)."""
     _require_self_loops(g)
 
-    def plan(n_steps):
+    def columns(n_steps):
         with np.errstate(divide="ignore"):  # sa_temperature(n); T_0 = inf
-            temp = cfg.gamma / exact_log(1, n_steps + 2)
+            return np.zeros(n_steps + 1), cfg.gamma / exact_log(1, n_steps + 2)
 
-        def rows(t, S, mu_hat, at, nbr, unif):
-            return _sa_slots(mu_hat.take(nbr), mu_hat.take(at),
-                             nbr == at[:, None], unif, temp[t + 1])
-        return Kernel("sa", rows, temp[1:]), np.zeros(n_steps + 1), temp
-
-    return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)
+    return _run_engine(g, rm, "sa", columns, n_steps, seeds, record_stride,
+                       start)
 
 
 def run_greedy_batch(g: Graph, rm: RewardModel, cfg: GreedyConfig,
                      n_steps: int, seeds, record_stride: int = 1,
                      start=None) -> list[Trajectory]:
     """Seeded epsilon-greedy runs, one per seed, sharing (g, rm, cfg)."""
-    def plan(n_steps):
+    def columns(n_steps):
         eps = np.zeros(n_steps + 1)  # greedy_epsilon(n) for n >= 1
         eps[1:] = (1.0 / np.arange(1, n_steps + 1)
                    if cfg.eps_mode == "one_over_n" else cfg.eps_value)
+        return eps, np.full(n_steps + 1, math.inf)
 
-        def rows(t, S, mu_hat, at, nbr, unif):
-            return _greedy_slots(mu_hat.take(nbr), unif, eps[t + 1])
-        return (Kernel("greedy", rows, eps[1:]), eps,
-                np.full(n_steps + 1, math.inf))
-
-    return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)
+    return _run_engine(g, rm, "greedy", columns, n_steps, seeds,
+                       record_stride, start)

@@ -310,10 +310,11 @@ def _acceptance_verdict(cfg: ExperimentConfig, finals: dict[int, list[float]]):
             "passed": hits >= acc["min_seeds"]}
 
 
-def _final_x(path: str) -> list[float]:
-    """x_1..x_m of a trajectory CSV's final row. The header gives m; the row
-    is read from the end of the file in a block that doubles until it holds
-    the newline before the row, so the rows between are never parsed."""
+def _final_x(path: str) -> tuple[int, list[float]]:
+    """n and x_1..x_m of a trajectory CSV's final row. The header gives m;
+    the row is read from the end of the file in a block that doubles until
+    it holds the newline before the row, so the rows between are never
+    parsed."""
     with open(path, "rb") as fh:
         m = len(fh.readline().split(b",")) - 4
         size = fh.seek(0, os.SEEK_END)
@@ -329,7 +330,7 @@ def _final_x(path: str) -> list[float]:
     if m < 1 or not block.endswith(b"\n") or len(fields) != 4 + m:
         raise ValueError(f"{path}: no complete final row of {4 + m} fields")
     try:
-        return [float(v) for v in fields[4:]]
+        return int(fields[0]), [float(v) for v in fields[4:]]
     except ValueError as exc:
         raise ValueError(f"{path}: bad final row ({exc})") from None
 
@@ -337,9 +338,14 @@ def _final_x(path: str) -> list[float]:
 def summarize_from_disk(cfg: ExperimentConfig, exp_dir: str) -> dict:
     """Aggregate summary recomputed from the persisted trajectories: the
     header and final row of each seed's `trajectory.csv`, not the rows
-    between (`_final_x`)."""
-    finals = {seed: _final_x(os.path.join(exp_dir, str(seed), "trajectory.csv"))
-              for seed in cfg.seeds}
+    between (`_final_x`). A final row before the horizon is an error."""
+    finals = {}
+    for seed in cfg.seeds:
+        path = os.path.join(exp_dir, str(seed), "trajectory.csv")
+        n, finals[seed] = _final_x(path)
+        if n != cfg.n_steps:
+            raise ValueError(f"{path}: final row is n = {n}, "
+                             f"not the horizon {cfg.n_steps}")
     mat = np.array([finals[s] for s in cfg.seeds])
     summary = {
         "schema": _SCHEMA,

@@ -67,6 +67,10 @@ class ScheduleConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number")
+            if name in ("eps_hold", "burn_in"):  # step counts: 100 or 1e2
+                if value != int(value):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
         if not 0.0 < self.epsilon0 <= 1.0:
             raise ValueError("epsilon0 must be in (0, 1]")
         if self.T0 <= 0 or self.alpha_burn <= 0 or self.gamma_sa <= 0:

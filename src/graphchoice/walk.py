@@ -28,8 +28,11 @@ O(R*m) again. The steps run in C: `_engine.c` holds one row kernel per
 algorithm (reinforced, SA, greedy), built at the first engine call and
 called once per block of `_BLOCK` steps for all rows. Where it cannot be
 built (no C compiler, no writable cache directory) the same steps run as a
-numpy loop over all rows at once, with the same arithmetic, so the nodes,
-counts and estimates agree; `engine_name()` says which one runs.
+numpy loop over all rows at once, through the three numpy row kernels kept
+here, with the same arithmetic, so the nodes, counts and estimates agree;
+`engine_name()` says which one runs. An algorithm reaches either loop as
+its kernel's name and the eps and temperature columns its trajectory
+records, read at the state it leaves (walk) or one step ahead (`_LAG`).
 
 Randomness protocol (recorded in run metadata): each seed expands through
 numpy's SeedSequence into three independent PCG64 streams, [init, select,
@@ -43,7 +46,6 @@ seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -191,6 +193,29 @@ def _reinforced_slots(S, mu_hat, unif, alpha: float, eps: float) -> np.ndarray:
     return p
 
 
+def _sa_slots(mu_hat, mu_cur, own, unif, temp: float) -> np.ndarray:
+    """Annealing rows over neighbor slots; the own slot takes the leftover mass.
+
+    `mu_hat` holds the estimates on each row's (R, d_max) slots, `mu_cur` the
+    estimate at the current node, `own` marks the current node's slot (its
+    self-loop) and `unif` is the uniform slot rows, 0 on padding.
+    """
+    drop = mu_cur[:, None] - mu_hat  # positive part penalizes downhill
+    p = np.exp(-np.maximum(drop, 0.0) / temp) * unif
+    p[own] = 0.0
+    p[own] = 1.0 - p.sum(axis=1)
+    return p
+
+
+def _greedy_slots(mu_hat, unif, eps: float) -> np.ndarray:
+    """Epsilon-greedy rows over neighbor slots; argmax ties go to the lowest
+    slot, which is the lowest node id because slots are sorted."""
+    best = np.where(unif > 0, mu_hat, -np.inf).argmax(axis=1)
+    p = eps * unif
+    p[np.arange(best.size), best] += 1.0 - eps
+    return p
+
+
 def _slot_row(g: Graph, node: int, *vectors):
     """One state in the engine's slot layout, for the stepwise references:
     the slot ids of N(node), then its uniform slot row and each m-vector read
@@ -281,20 +306,9 @@ def _resolve_starts(g: Graph, start, rngs: list[WalkRng]) -> np.ndarray:
                     dtype=np.int64)
 
 
-class Kernel(NamedTuple):
-    """One algorithm's move rule in the terms of both engine loops.
-
-    `kind` names the compiled row kernel ("reinforced", "sa" or "greedy")
-    and `rows(t, S, mu_hat, at, nbr, unif)` gives the same (R, d_max) slot
-    rows with numpy, for the fallback loop. `a` and `b` are the kernel's
-    float64 parameters indexed by the step t: (alpha, eps) for
-    "reinforced", T for "sa" and eps for "greedy", whose `b` stays None.
-    """
-
-    kind: str
-    rows: Callable
-    a: np.ndarray
-    b: np.ndarray | None = None
+# The schedule row n = t + lag that each kernel reads on step t -> t+1: the
+# walk moves at the state it leaves, the baselines at T_{n+1} and eps_{n+1}.
+_LAG = {"reinforced": 0, "sa": 1, "greedy": 1}
 
 
 def engine_name() -> str:
@@ -303,36 +317,24 @@ def engine_name() -> str:
     return "numpy" if _engine.load() is None else "c"
 
 
-def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
-                record_stride: int, start, plan) -> list[Trajectory]:
+def _run_engine(g: Graph, rm: RewardModel, kind: str, columns, n_steps: int,
+                seeds, record_stride: int, start) -> list[Trajectory]:
     """The batched loop behind `run_batch` and the baselines' batch runners.
 
-    `plan(n_steps)` returns `(kernel, eps_col, temp_col)`: the `Kernel` for
-    steps t -> t+1 and the eps and temperature values at n = 0..n_steps. The
-    alpha column records 1/temp, and each `final_state` gets the schedule
-    state at n_steps. `S` (int64 visit counts) and `mu_hat` are
-    flat (R, m+1) arrays whose column m stays zero; a step reads each row's
-    neighbor slots through flat indices row*(m+1) + id, padding reading
-    column m. The select/noise streams are drawn in blocks of `_BLOCK` per
-    row; each block runs through the compiled row kernels of `_engine.c` in
-    one call, or, where they cannot be built, through the numpy loop of
-    `_numpy_block`, one step for all rows at a time. Both loops record the node and the S
-    row at each snapshot, and x = S/n is formed from them afterwards.
-
-    The two loops agree operation for operation, so a batch gives the same
-    nodes, S and mu_hat either way:
-      * log and exp: libm in C, numpy's (SIMD) in numpy; they may differ in
-        the last bit, so a node can differ only where u lands within an ulp
-        of a cumsum boundary;
-      * row sums in numpy's pairwise order: sequential below 8 elements,
-        eight accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
-        plus a sequential tail up to 128, recursive halving at n/2 rounded
-        down to a multiple of 8 above;
-      * a sequential cumsum and sel = #(u >= cum), a u beyond the last
-        cumsum taking the last slot with positive probability;
-      * SA: exp(-max(drop, 0)/T) * unif, the own slot zeroed, then set to
-        1 - rowsum; greedy: the masked argmax, ties to the lowest slot;
-      * the running mean est + (obs - est)/S, obs = mu + noise_std * z.
+    `kind` names the row kernel ("reinforced", "sa" or "greedy") and
+    `columns(n_steps)` returns the eps and temperature values at
+    n = 0..n_steps, the ones the trajectory records: its alpha column is
+    1/temp, and each `final_state` gets the schedule state at n_steps. The
+    kernel reads all three columns `_LAG[kind]` rows ahead of the step.
+    `S` (int64 visit counts) and `mu_hat` are flat (R, m+1) arrays whose
+    column m stays zero; a step reads each row's neighbor slots through
+    flat indices row*(m+1) + id, padding reading column m. The
+    select/noise streams are drawn in blocks of `_BLOCK` per row; each block
+    runs through the compiled row kernels of `_engine.c` in one call, or,
+    where they cannot be built, through the numpy loop of `_numpy_block`,
+    one step for all rows at a time, with the arithmetic that the C header
+    lists. Both loops record the node and the S row at each snapshot, and
+    x = S/n is formed from them afterwards.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -343,7 +345,9 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
         raise ValueError("seeds must be distinct")
     if rm.mu.size != g.m:
         raise ValueError("reward vector length != node count")
-    kernel, eps_col, temp_col = plan(n_steps)
+    eps_col, temp_col = columns(n_steps)
+    alpha_col = 1.0 / temp_col  # as ScheduleState.alpha and schedule_arrays
+    cols = [col[_LAG[kind]:] for col in (eps_col, alpha_col, temp_col)]
 
     rngs = [WalkRng(s) for s in seeds]
     R, m = len(seeds), g.m
@@ -363,9 +367,9 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
 
     from . import _engine  # at the first engine call: importing stays lean
     buffers = (cur, S, mu_hat, node_mat, S_snap)
-    run_block = (_engine.compiled_block(g, rm, kernel, n_steps, record_stride,
-                                        *buffers)
-                 or _numpy_block(g, rm, kernel.rows, n_steps, record_stride,
+    run_block = (_engine.compiled_block(g, rm, kind, cols, n_steps,
+                                        record_stride, *buffers)
+                 or _numpy_block(g, rm, kind, cols, n_steps, record_stride,
                                  *buffers))
     for t0 in range(0, n_steps, _BLOCK):
         for r in range(R):
@@ -378,7 +382,7 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
     np.divide(S_snap[:, 1:], ns[1:, None], out=x_mat[:, 1:])
     del S_snap
     eps_snap = eps_col[ns]
-    alpha_snap = 1.0 / temp_col[ns]
+    alpha_snap = alpha_col[ns]
     sched = ScheduleState(n=n_steps, eps=float(eps_col[n_steps]),
                           temp=float(temp_col[n_steps]))
 
@@ -394,11 +398,24 @@ def _run_engine(g: Graph, rm: RewardModel, n_steps: int, seeds,
     return out
 
 
-def _numpy_block(g: Graph, rm: RewardModel, rows, n_steps: int, stride: int,
-                 cur, S, mu_hat, node_mat, S_snap):
+def _rows(kind: str, S, mu_hat, at, nbr, unif, eps: float, alpha: float,
+          temp: float) -> np.ndarray:
+    """One step's (R, d_max) move rows of the `kind` kernel for all rows, the
+    current nodes at flat indices `at` and their neighbor slots at `nbr`:
+    the reinforced walk reads alpha and eps, SA temp and greedy eps."""
+    if kind == "reinforced":
+        return _reinforced_slots(S.take(nbr), mu_hat.take(nbr), unif, alpha, eps)
+    if kind == "sa":
+        return _sa_slots(mu_hat.take(nbr), mu_hat.take(at), nbr == at[:, None],
+                         unif, temp)
+    return _greedy_slots(mu_hat.take(nbr), unif, eps)
+
+
+def _numpy_block(g: Graph, rm: RewardModel, kind: str, columns, n_steps: int,
+                 stride: int, cur, S, mu_hat, node_mat, S_snap):
     """`run_block(t0, t1, U, Z)` as a numpy loop over steps, all rows at
     once: the reference for `_engine.c` and the path where it cannot be
-    built."""
+    built. `columns` are the eps, alpha and temp columns indexed by t."""
     ids, uniform = g.neighbor_slots
     mu, noise_std = rm.mu, rm.noise_std
     R, m = S_snap.shape[0], g.m
@@ -406,6 +423,7 @@ def _numpy_block(g: Graph, rm: RewardModel, rows, n_steps: int, stride: int,
     base_col = base[:, None]
     slot_base = np.arange(R) * ids.shape[1]
     S_rows = S.reshape(R, m + 1)[:, :m]
+    eps, alpha, temp = columns
 
     def run_block(t0, t1, U, Z):
         nonlocal cur
@@ -414,8 +432,9 @@ def _numpy_block(g: Graph, rm: RewardModel, rows, n_steps: int, stride: int,
             for t in range(t0, t1):
                 k = t - t0
                 nb = ids.take(cur, axis=0)
-                slot = _sample_rows(rows(t, S, mu_hat, at, nb + base_col,
-                                         uniform.take(cur, axis=0)), U[:, k])
+                p = _rows(kind, S, mu_hat, at, nb + base_col,
+                          uniform.take(cur, axis=0), eps[t], alpha[t], temp[t])
+                slot = _sample_rows(p, U[:, k])
                 cur = nb.take(slot_base + slot)
                 at = base + cur
                 S[at] += 1
@@ -439,15 +458,11 @@ def run_batch(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,
     each seed through `run` alone. `start` is None (uniform over V), a
     1-based node id, or a pool of 1-based ids to draw from uniformly.
     """
-    def plan(n_steps):
-        eps, alpha, temp = schedules.schedule_arrays(cfg, n_steps)
+    def columns(n_steps):
+        return schedules.schedule_arrays(cfg, n_steps)[::2]  # eps, temp
 
-        def rows(t, S, mu_hat, at, nbr, unif):
-            return _reinforced_slots(S.take(nbr), mu_hat.take(nbr), unif,
-                                     alpha[t], eps[t])
-        return Kernel("reinforced", rows, alpha, eps), eps, temp
-
-    return _run_engine(g, rm, n_steps, seeds, record_stride, start, plan)
+    return _run_engine(g, rm, "reinforced", columns, n_steps, seeds,
+                       record_stride, start)
 
 
 def run(g: Graph, rm: RewardModel, cfg: ScheduleConfig, n_steps: int,

@@ -141,18 +141,19 @@ def test_baseline_schedule_columns_match_scalar_schedules(monkeypatch):
     # the recorded columns come from whole-array formulas; they must equal
     # the scalar schedules exactly at every n up to 1e5
     monkeypatch.setattr(baselines, "_run_engine",
-                        lambda g, rm, n_steps, *args: args[-1](n_steps))
+                        lambda g, rm, kind, columns, n_steps, *args:
+                        columns(n_steps))
     g = graphs.make_linear(4)
     rm = walk.RewardModel(mu=np.ones(4))
     ns = range(1, 10**5 + 1)
     sa_cfg = baselines.SAConfig(gamma=0.3)
-    _, eps, temp = baselines.run_sa_batch(g, rm, sa_cfg, 10**5, [1])
+    eps, temp = baselines.run_sa_batch(g, rm, sa_cfg, 10**5, [1])
     assert not eps.any() and temp[0] == math.inf
     assert np.array_equal(temp[1:], [baselines.sa_temperature(n, sa_cfg)
                                      for n in ns])
     for gr_cfg in (baselines.GreedyConfig(),
                    baselines.GreedyConfig(eps_mode="constant", eps_value=0.3)):
-        _, eps, temp = baselines.run_greedy_batch(g, rm, gr_cfg, 10**5, [1])
+        eps, temp = baselines.run_greedy_batch(g, rm, gr_cfg, 10**5, [1])
         assert np.all(temp == math.inf) and eps[0] == 0.0
         assert np.array_equal(eps[1:], [baselines.greedy_epsilon(n, gr_cfg)
                                         for n in ns])

@@ -236,7 +236,8 @@ def test_summary_matches_the_in_memory_finals_for_every_algorithm(tmp_path):
                                       for t in trajs}
 
 
-@pytest.mark.parametrize("cut", ["header_only", "short_last_row"])
+@pytest.mark.parametrize("cut", ["header_only", "short_last_row",
+                                 "before_horizon"])
 def test_summary_rejects_a_file_without_a_whole_final_row(tmp_path, cut):
     cfg = harness.parse_config(mini_config())
     out = str(tmp_path / "runs")
@@ -244,7 +245,9 @@ def test_summary_rejects_a_file_without_a_whole_final_row(tmp_path, cut):
     path = os.path.join(out, "mini", "6", "trajectory.csv")
     with open(path) as fh:
         lines = fh.read().splitlines(keepends=True)
-    text = lines[0] if cut == "header_only" else "".join(lines)[:-9]
+    text = {"header_only": lines[0],
+            "short_last_row": "".join(lines)[:-9],
+            "before_horizon": "".join(lines[:-1])}[cut]  # ends at n = 400
     with open(path, "w") as fh:
         fh.write(text)
     with pytest.raises(ValueError, match=re.escape(path)):

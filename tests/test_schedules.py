@@ -283,6 +283,25 @@ def test_config_validation():
                 {"seeds": [-1]},
                 {"seeds": {"count": 2, "base": -1}},
                 {"noise_std": -1},
-                {"out_dir": 5}):
+                {"out_dir": 5},
+                {"schedule": {"burn_in": 50.5}},
+                {"schedule": {"eps_hold": 2.5}}):
         with pytest.raises(harness.ConfigError):
             harness.parse_config({**doc, **bad})
+
+
+def test_integral_step_counts_run_as_integers():
+    # 1e2 is the JSON spelling of 100 for a step count, as for n_steps
+    doc = {"schema": 1, "name": "v", "graph": {"generator": "linear", "m": 4},
+           "mu": [2.0, 0.25, 0.5, 1.0], "algorithm": "reinforced",
+           "n_steps": 300, "seeds": [1, 2], "record_stride": 7}
+    runs = []
+    for burn_in, eps_hold in ((100, 20), (1e2, 2e1)):
+        cfg = harness.parse_config({**doc, "schedule": {
+            "alpha_mode": "cooled", "c_mode": "recursion_example",
+            "burn_in": burn_in, "eps_hold": eps_hold}})
+        assert type(cfg.schedule.burn_in) is type(cfg.schedule.eps_hold) is int
+        runs.append(harness.run_trajectories(cfg))
+    for a, b in zip(*runs):
+        for name in ("nodes", "xs", "eps", "alphas"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))

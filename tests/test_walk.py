@@ -2,6 +2,7 @@ import ctypes
 import json
 import re
 import shutil
+import subprocess
 
 import numpy as np
 import pytest
@@ -422,8 +423,8 @@ def test_compiled_signature_matches_its_argtypes():
     scalar = {"void": None, "int32_t": ctypes.c_int32,
               "int64_t": ctypes.c_int64, "double": ctypes.c_double}
     lib = _engine.load()
-    exported = re.findall(r"^(\w+) (gc_\w+)\(([^)]*)\)",
-                          _engine.SOURCE.read_text(), re.M)
+    source = _engine.SOURCE.read_text()
+    exported = re.findall(r"^(\w+) (gc_\w+)\(([^)]*)\)", source, re.M)
     assert sorted(name for _, name, _ in exported) == ["gc_rk4_window",
                                                       "gc_run_block"]
     for restype, name, params in exported:
@@ -431,6 +432,41 @@ def test_compiled_signature_matches_its_argtypes():
                     for p in params.split(",")]
         assert declared == list(getattr(lib, name).argtypes), name
         assert getattr(lib, name).restype is scalar[restype], name
+    # the integer codes passed for kind and dynamics, and the kinds that the
+    # engine gives a schedule lag
+    enums = [{k.lower(): int(v) for k, v in re.findall(r"(\w+) = (\d+)", body)}
+             for body in re.findall(r"^enum \{([^}]*)\};", source, re.M)]
+    assert enums == [_engine.KINDS, _engine.DYNAMICS]
+    assert walk._LAG.keys() == _engine.KINDS.keys()
+
+
+def test_engine_source_compiles_without_warnings():
+    # the shipped flags with every common warning as an error: a stale or
+    # unused parameter in the block's signature fails here
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    done = subprocess.run(["cc", "-fsyntax-only", "-Wall", "-Wextra", "-Werror",
+                           *_engine.FLAGS, str(_engine.SOURCE)],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("runner", ["reinforced", "sa", "greedy"])
+@pytest.mark.parametrize("n_steps, stride, message", [
+    (0, 1, "n_steps must be >= 1"), (-3, 1, "n_steps must be >= 1"),
+    (10, 0, "record_stride must be >= 1")])
+def test_runners_reject_empty_runs_and_strides(runner, n_steps, stride,
+                                               message):
+    # checked before any schedule column is built: n_steps = -3 would
+    # otherwise fail on a negative array size
+    g = graphs.make_linear(4)
+    rm = walk.RewardModel(mu=np.ones(4))
+    run, cfg = {"reinforced": (walk.run_batch, ScheduleConfig()),
+                "sa": (baselines.run_sa_batch, baselines.SAConfig()),
+                "greedy": (baselines.run_greedy_batch,
+                           baselines.GreedyConfig())}[runner]
+    with pytest.raises(ValueError, match=message):
+        run(g, rm, cfg, n_steps, [1], record_stride=stride)
 
 
 def test_numpy_fallback_matches_compiled_engine(monkeypatch, tmp_path):
