@@ -331,17 +331,18 @@ def optimal_set(mu) -> np.ndarray:
     return np.flatnonzero(mu >= mu.max() * (1.0 - 1e-12))
 
 
-def unconstrained_fixed_point(mu, alpha: float) -> np.ndarray:
+def unconstrained_fixed_point(mu, alpha: float, m: int | None = None) -> np.ndarray:
     """Complete-graph rest point for alpha in (0, 1):
 
         x_i = mu_i**(alpha/(1-alpha)) / sum_k mu_k**(alpha/(1-alpha)),
 
-    evaluated in log space (scale-independent in mu by construction).
+    evaluated in log space (scale-independent in mu by construction); m,
+    where given, is the node count mu must match.
     """
     alpha = _check_alpha(alpha)
     if alpha >= 1.0:
         raise ValueError("closed form requires alpha in (0, 1)")
-    mu = _as_rewards(mu, np.size(mu))
+    mu = _as_rewards(mu, np.size(mu) if m is None else m)
     expo = alpha / (1.0 - alpha)
     logw = expo * np.log(mu)
     w = np.exp(logw - logw.max())
@@ -438,28 +439,32 @@ class EigenBoundResult:
     lam_min: float
     bound: float
     margin: float
+    p: np.ndarray
 
 
 def covariance_eigen_bound(p, eps: float, m_i: int | None = None) -> EigenBoundResult:
     """Least eigenvalue of the move-indicator covariance on the zero-sum plane.
 
     p is a probability vector over a neighborhood of size m_i whose entries
-    all carry the exploration floor eps/m_i. The covariance diag(p) - p p^T
-    restricted to {y : sum y = 0} then has smallest eigenvalue >= eps/m_i;
-    the achieved eigenvalue, the floor, and their margin are returned.
+    all carry the exploration floor eps/m_i (None: the worst-case corner of
+    the floored simplex). The covariance diag(p) - p p^T restricted to
+    {y : sum y = 0} then has smallest eigenvalue >= eps/m_i; the achieved
+    eigenvalue, the floor, their margin and p are returned.
     """
-    p = np.asarray(p, dtype=float)
-    if m_i is None:
-        m_i = p.size
-    if p.size != m_i or m_i < 2:
-        raise ValueError(f"p must have length m_i >= 2 (length {p.size}, "
+    m_i = np.size(p) if m_i is None else m_i
+    if m_i < 2 or (p is not None and np.size(p) != m_i):
+        raise ValueError(f"p must have length m_i >= 2 (length {np.size(p)}, "
                          f"m_i = {m_i})")
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must be in (0, 1]")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("p must sum to 1")
     floor = eps / m_i
-    if np.any(p < floor - 1e-12):
+    if p is None:
+        p = np.full(m_i, floor)
+        p[0] = 1.0 - (m_i - 1) * eps / m_i
+    p = np.asarray(p, dtype=float)
+    if not abs(p.sum() - 1.0) <= 1e-9:  # False on NaN too
+        raise ValueError("p must sum to 1")
+    if not np.all(p >= floor - 1e-12):
         raise ValueError("p violates the exploration floor eps/m_i")
 
     q = np.diag(p) - np.outer(p, p)
@@ -470,4 +475,4 @@ def covariance_eigen_bound(p, eps: float, m_i: int | None = None) -> EigenBoundR
     if not lam >= floor - 1e-12:  # an explicit raise survives python -O
         raise RuntimeError(f"covariance eigenvalue {lam!r} fell below its "
                            f"floor {floor!r}")
-    return EigenBoundResult(lam_min=lam, bound=floor, margin=lam - floor)
+    return EigenBoundResult(lam_min=lam, bound=floor, margin=lam - floor, p=p)

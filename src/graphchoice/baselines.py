@@ -56,11 +56,13 @@ class SAConfig:
 
 @dataclass(frozen=True)
 class GreedyConfig:
+    READS = {"one_over_n": ("eps_mode",),  # the fields each eps_mode reads
+             "constant": ("eps_mode", "eps_value")}
     eps_mode: str = "one_over_n"  # or 'constant'
     eps_value: float = 0.1        # used by 'constant'
 
     def __post_init__(self):
-        if self.eps_mode not in ("one_over_n", "constant"):
+        if self.eps_mode not in self.READS:
             raise ValueError(f"unknown eps_mode {self.eps_mode!r}")
         if not 0.0 <= self.eps_value <= 1.0:
             raise ValueError("eps_value must be in [0, 1]")

@@ -23,20 +23,12 @@ from .harness import ConfigError
 
 
 def _parse_floats(text: str) -> np.ndarray:
-    """A comma-separated list of positive finite numbers (every list option
-    holds rewards, exponents or interior probabilities)."""
+    """A comma-separated list of numbers; the analysis functions own their
+    ranges."""
     try:
-        values = np.array([float(v) for v in text.split(",")], dtype=float)
+        return np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ConfigError(f"cannot parse float list {text!r}") from exc
-    if not (0.0 < values.min() and values.max() < np.inf):
-        raise ConfigError(f"float list {text!r} must be positive and finite")
-    return values
-
-
-def _require_positive(value: float, flag: str) -> None:
-    if not 0.0 < value < np.inf:  # False on NaN too
-        raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
 
 
 def _emit(obj) -> None:
@@ -92,88 +84,75 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    try:
+        doc = _analyze(args)
+    except ValueError as exc:  # an argument out of range; RuntimeError stays exit 3
+        raise ConfigError(str(exc)) from exc
+    _emit(doc)
+    return 0
+
+
+def _analyze(args) -> dict:
+    """The analyze document of `args.kind`. Each range rule of the arguments
+    belongs to the analysis function that reads them, and raises ValueError."""
     kind = args.kind
     if kind == "eigenbound":
-        m_i = args.mi
-        eps = args.eps
-        if m_i is None or eps is None:
+        if args.mi is None or args.eps is None:
             raise ConfigError("eigenbound needs --mi and --eps")
-        _require_positive(eps, "--eps")
-        if m_i < 2:
-            raise ConfigError(f"--mi must be at least 2, got {m_i}")
-        if args.p is not None:
-            p = _parse_floats(args.p)
-        else:  # the worst-case corner of the floored simplex
-            p = np.full(m_i, eps / m_i)
-            p[0] = 1.0 - (m_i - 1) * eps / m_i
-        try:
-            res = analysis.covariance_eigen_bound(p, eps, m_i)
-        except ValueError as exc:  # bad arguments; RuntimeError stays exit 3
-            raise ConfigError(str(exc)) from exc
-        _emit({"kind": kind, "p": p, "lam_min": res.lam_min,
-               "bound": res.bound, "margin": res.margin})
-        return 0
+        p = None if args.p is None else _parse_floats(args.p)
+        res = analysis.covariance_eigen_bound(p, args.eps, args.mi)
+        return {"kind": kind, "p": res.p, "lam_min": res.lam_min,
+                "bound": res.bound, "margin": res.margin}
 
     if args.graph is None or args.mu is None:
         raise ConfigError(f"{kind} needs --graph and --mu")
     g = harness.parse_graph_arg(args.graph)
     mu = _parse_floats(args.mu)
-    if mu.size != g.m:
-        raise ConfigError("mu length != node count")
+    x = _parse_floats(args.x) if args.x else None
 
     if kind == "concentration":
         if not args.alphas:
             raise ConfigError("concentration needs --alphas")
         entries = analysis.alpha_concentration_check(
-            g, mu, _parse_floats(args.alphas),
-            z0=_parse_floats(args.x) if args.x else None)
-        _emit({"kind": kind,
-               "optimal_nodes": [int(i) + 1 for i in analysis.optimal_set(mu)],
-               "entries": [{"alpha": e.alpha, "optimal_mass": e.optimal_mass,
-                            "point": e.fixed_point.point,
-                            "residual": e.fixed_point.residual,
-                            "converged": e.fixed_point.converged}
-                           for e in entries]})
-        return 0
+            g, mu, _parse_floats(args.alphas), z0=x)
+        return {"kind": kind,
+                "optimal_nodes": [int(i) + 1 for i in analysis.optimal_set(mu)],
+                "entries": [{"alpha": e.alpha, "optimal_mass": e.optimal_mass,
+                             "point": e.fixed_point.point,
+                             "residual": e.fixed_point.residual,
+                             "converged": e.fixed_point.converged}
+                            for e in entries]}
 
     alpha = args.alpha
     if alpha is None:
         raise ConfigError(f"{kind} needs --alpha")
-    _require_positive(alpha, "--alpha")
 
     if kind == "fixedpoint":
-        complete = bool(g.adjacency_bool.all())
-        if complete and alpha < 1.0:
-            point = analysis.unconstrained_fixed_point(mu, alpha)
-            _emit({"kind": kind, "method": "closed_form", "alpha": alpha,
-                   "point": point})
-            return 0
-        fp = analysis.find_fixed_point(
-            g, mu, alpha, z0=_parse_floats(args.x) if args.x else None)
-        _emit({"kind": kind, "method": "ode", "alpha": alpha,
-               "point": fp.point, "residual": fp.residual,
-               "classification": fp.classification, "converged": fp.converged,
-               "windows": fp.windows, "halvings": fp.halvings})
-        return 0
+        if g.adjacency_bool.all() and alpha < 1.0:
+            return {"kind": kind, "method": "closed_form", "alpha": alpha,
+                    "point": analysis.unconstrained_fixed_point(mu, alpha, g.m)}
+        fp = analysis.find_fixed_point(g, mu, alpha, z0=x)
+        return {"kind": kind, "method": "ode", "alpha": alpha,
+                "point": fp.point, "residual": fp.residual,
+                "classification": fp.classification, "converged": fp.converged,
+                "windows": fp.windows, "halvings": fp.halvings}
 
-    x = _parse_floats(args.x) if args.x else np.full(g.m, 1.0 / g.m)
+    x = np.full(g.m, 1.0 / g.m) if x is None else x
     if kind == "stationary":
         pi = analysis.stationary_closed_form(x, g, mu, alpha)
         kernel = analysis.limit_kernel(x, g, mu, alpha)
         oracle = analysis.stationary_power_iteration(kernel)
-        _emit({"kind": kind, "alpha": alpha, "x": x,
-               "pi_closed_form": pi, "pi_power_iteration": oracle.pi,
-               "oracle_iterations": oracle.iterations,
-               "oracle_converged": oracle.converged,
-               "max_gap": float(np.abs(pi - oracle.pi).max()),
-               "local_balance_violation":
-                   analysis.local_balance_violation(x, g, mu, alpha)})
-        return 0
+        return {"kind": kind, "alpha": alpha, "x": x,
+                "pi_closed_form": pi, "pi_power_iteration": oracle.pi,
+                "oracle_iterations": oracle.iterations,
+                "oracle_converged": oracle.converged,
+                "max_gap": float(np.abs(pi - oracle.pi).max()),
+                "local_balance_violation":
+                    analysis.local_balance_violation(x, g, mu, alpha)}
     if kind == "potential":
         rep = analysis.potential(x, g, mu, alpha)
-        _emit({"kind": kind, "alpha": alpha, "x": x, "value": rep.value,
-               "gradient": rep.gradient, "lyapunov": rep.lyapunov})
-        return 0
+        return {"kind": kind, "alpha": alpha, "x": x, "value": rep.value,
+                "gradient": rep.gradient, "lyapunov": rep.lyapunov}
     raise ConfigError(f"unknown analyze kind {kind!r}")
 
 

@@ -62,9 +62,6 @@ class ExperimentConfig:
     def build_graph(self) -> graphs.Graph:
         return build_graph(self.graph_spec)
 
-    def reward_model(self) -> walk.RewardModel:
-        return walk.RewardModel(mu=self.mu, noise_std=self.noise_std)
-
     def config_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
@@ -99,18 +96,12 @@ def build_graph(spec: dict) -> graphs.Graph:
             raise ConfigError("graph file must be a path")
         return load_graph_file(spec["file"])[0]
     values = [_integer(spec[k], f"graph {k}") for k in keys[1:]]
-    try:
-        return _GENERATORS[gen][0](*values)
-    except (TypeError, ValueError) as exc:  # bad size or hub
-        raise ConfigError(f"bad graph {spec}: {exc}") from exc
+    return _owned(f"graph {spec}", _GENERATORS[gen][0], *values)  # size, hub
 
 
 def load_graph_file(path: str, repair: bool = True):
     """`graphs.load_graph`, with a missing or malformed file as a ConfigError."""
-    try:
-        return graphs.load_graph(path, repair=repair)
-    except (OSError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad graph file {path!r}: {exc}") from exc
+    return _owned(f"graph file {path!r}", graphs.load_graph, path, repair=repair)
 
 
 def parse_graph_arg(text: str) -> graphs.Graph:
@@ -140,14 +131,6 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _node(value, m: int, what: str) -> int:
-    """A 1-based node id of an m-node graph."""
-    node = _integer(value, what)
-    if not 1 <= node <= m:
-        raise ConfigError(f"{what} {node} out of range 1..{m}")
-    return node
-
-
 def _parse_seeds(spec) -> list[int]:
     if isinstance(spec, list):
         seeds = [_integer(s, "seed") for s in spec]
@@ -156,29 +139,35 @@ def _parse_seeds(spec) -> list[int]:
         seeds = list(range(base, base + _integer(spec["count"], "seeds count")))
     else:
         raise ConfigError("seeds must be a list or {'count': k, 'base': b}")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
-    if not seeds:
-        raise ConfigError("need at least one seed")
-    if min(seeds) < 0:
+    if any(s < 0 for s in seeds):
         raise ConfigError("seeds must be nonnegative")
     return seeds
 
 
+def _owned(what: str, build, *args, **kwargs):
+    """Call the owner of these values' rules; its error becomes a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except (OSError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
+    """The experiment a JSON document describes. Kinds, key sets, name, graph,
+    acceptance and out_dir are checked here; `_owned` calls each other rule's owner."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if doc.get("schema") != _SCHEMA:
+    if isinstance(doc.get("schema"), bool) or doc.get("schema") != _SCHEMA:
         raise ConfigError(f"config schema must be {_SCHEMA}")
     for key in ("name", "graph", "mu", "algorithm", "n_steps", "seeds"):
         if key not in doc:
             raise ConfigError(f"missing config key {key!r}")
     name = doc["name"]  # a directory under the output root
     if (not isinstance(name, str) or name in ("", ".", "..")
-            or "/" in name or os.sep in name):
+            or "/" in name or os.sep in name or "\0" in name):
         raise ConfigError(f"name must be one path component, got {name!r}")
     algo = doc["algorithm"]
     if algo not in _ALGOS:
@@ -188,47 +177,46 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc["mu"], list):
         raise ConfigError("mu must be a list of numbers")
     mu = np.array([_number(v, "mu entry") for v in doc["mu"]])
-    if mu.size != g.m:
-        raise ConfigError(f"mu has {mu.size} entries for a {g.m}-node graph")
-    if np.any(mu <= 0):
-        raise ConfigError("mu entries must be positive")
-
-    try:
-        schedule = ScheduleConfig(**doc.get("schedule", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad schedule block: {exc}") from exc
-
+    noise_std = _number(doc.get("noise_std", 0.0), "noise_std")
+    rm = _owned("rewards", walk.RewardModel, mu=mu, noise_std=noise_std)
+    schedule = _owned("schedule block", ScheduleConfig, **doc.get("schedule", {}))
     greedy_spec = doc.get("greedy_eps", {})
     if not isinstance(greedy_spec, dict) or set(greedy_spec) - {"mode", "value"}:
         raise ConfigError("greedy_eps must be an object with keys mode, value")
-    try:
-        greedy_eps = baselines.GreedyConfig(
-            eps_mode=greedy_spec.get("mode", "one_over_n"),
-            eps_value=_number(greedy_spec.get("value", 0.1), "greedy_eps value"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad greedy_eps block: {exc}") from exc
+    greedy_eps = _owned(
+        "greedy_eps block", baselines.GreedyConfig,
+        eps_mode=greedy_spec.get("mode", "one_over_n"),
+        eps_value=_number(greedy_spec.get("value", 0.1), "greedy_eps value"))
+    walk_keys = {"c_mode", "alpha_mode", *schedule.EPS_READS[schedule.c_mode],
+                 *schedule.ALPHA_READS[schedule.alpha_mode]}
+    greedy_keys = {k for k in ("mode", "value")
+                   if f"eps_{k}" in greedy_eps.READS[greedy_eps.eps_mode]}
+    reads = {"reinforced": {"schedule": walk_keys}, "sa": {"schedule": {"gamma_sa"}},
+             "greedy": {"greedy_eps": greedy_keys}}[algo]
+    for block in set(doc) & {"schedule", "greedy_eps"}:
+        unread = sorted(set(doc[block]) - reads.get(block, set()))
+        if unread or block not in reads:
+            raise ConfigError(f"a {algo} run with these modes never reads "
+                              f"{block} {unread or 'block'}")
 
     start = doc.get("start", "uniform")
     if start == "uniform":
         start = None
     elif isinstance(start, list):
-        start = [_node(s, g.m, "start node") for s in start]
-        if not start:
-            raise ConfigError("start node list must be nonempty")
-    elif isinstance(start, int) and not isinstance(start, bool):
-        start = _node(start, g.m, "start node")
-    else:
+        start = [_integer(s, "start node") for s in start]
+    elif not isinstance(start, int) or isinstance(start, bool):
         raise ConfigError("start must be 'uniform', a node id, or a node list")
 
     acceptance = doc.get("acceptance")
     if acceptance is not None:
         if not isinstance(acceptance, dict) or set(acceptance) != _ACCEPT_KEYS:
             raise ConfigError(f"acceptance must have keys {sorted(_ACCEPT_KEYS)}")
-        if not isinstance(acceptance["nodes"], list):
-            raise ConfigError("acceptance nodes must be a list of node ids")
-        nodes = [_node(v, g.m, "acceptance node") for v in acceptance["nodes"]]
-        if len(set(nodes)) != len(nodes):
-            raise ConfigError("acceptance nodes must be distinct")
+        nodes = acceptance["nodes"]
+        if not isinstance(nodes, list) or not nodes:
+            raise ConfigError("acceptance nodes must be a nonempty list of node ids")
+        nodes = [_integer(v, "acceptance node") for v in nodes]
+        if len(set(nodes)) != len(nodes) or not all(1 <= v <= g.m for v in nodes):
+            raise ConfigError(f"acceptance nodes must be distinct ids in 1..{g.m}")
         if not 0 < _number(acceptance["min_fraction"], "min_fraction") <= 1:
             raise ConfigError("acceptance min_fraction must be in (0, 1]")
         if _integer(acceptance["min_seeds"], "min_seeds") < 1:
@@ -237,20 +225,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
     n_steps = _integer(doc["n_steps"], "n_steps")
     stride = _integer(doc.get("record_stride", max(1, n_steps // 100)),
                       "record_stride")
-    if n_steps < 1 or stride < 1:
-        raise ConfigError("n_steps and record_stride must be positive")
-    noise_std = _number(doc.get("noise_std", 0.0), "noise_std")
-    if noise_std < 0:
-        raise ConfigError("noise_std must be nonnegative")
+    seeds = _parse_seeds(doc["seeds"])
+    _owned("run", walk.check_run, g, rm, n_steps, seeds, stride, start)
     out_dir = doc.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir must be a path")
 
     return ExperimentConfig(
         name=name, graph_spec=doc["graph"], mu=mu, noise_std=noise_std,
-        algorithm=algo, schedule=schedule, n_steps=n_steps,
-        seeds=_parse_seeds(doc["seeds"]), record_stride=stride, start=start,
-        greedy_eps=greedy_eps, acceptance=acceptance, out_dir=out_dir, raw=doc)
+        algorithm=algo, schedule=schedule, n_steps=n_steps, seeds=seeds,
+        record_stride=stride, start=start, greedy_eps=greedy_eps,
+        acceptance=acceptance, out_dir=out_dir, raw=doc)
 
 
 def bundled_config_names() -> list[str]:
@@ -279,7 +264,7 @@ def run_trajectories(cfg: ExperimentConfig, seeds=None) -> list[walk.Trajectory]
     """Execute the experiment's runs in memory (one per seed, batched)."""
     seeds = cfg.seeds if seeds is None else seeds
     g = cfg.build_graph()
-    rm = cfg.reward_model()
+    rm = walk.RewardModel(mu=cfg.mu, noise_std=cfg.noise_std)
     if cfg.algorithm == "reinforced":
         return walk.run_batch(g, rm, cfg.schedule, cfg.n_steps, seeds,
                               record_stride=cfg.record_stride, start=cfg.start)

@@ -36,10 +36,8 @@ class ScheduleConfig:
     T0         fixed-mode temperature (alpha = 1/T0 forever)
     c_mode     'recursion_example' | 'explicit_log' | 'constant'
     c_const    decay constant for c_mode='constant' (0 keeps eps fixed)
-    eps_hold   steps during which eps stays at epsilon0 before decaying;
-               applies to the recursive modes (the explicit log formula
-               is a function of n alone), and the decay clock restarts
-               when the hold ends
+    eps_hold   steps during which eps stays at epsilon0 before decaying
+               (the decay clock restarts when the hold ends)
     eps_floor  lower clamp on eps (0 = none); a small floor keeps every
                node visited at a positive rate even under fast decay
     alpha_mode 'fixed' | 'cooled'
@@ -48,6 +46,13 @@ class ScheduleConfig:
     cool_scale multiplier on the cooling step b(n) = cool_scale/(n log n)
     gamma_sa   temperature scale of the simulated-annealing baseline
     """
+
+    # The fields the walk reads under each mode; the annealing baseline reads
+    # gamma_sa alone. The explicit log formula is a function of n alone.
+    EPS_READS = {"explicit_log": ("eps_floor",),
+                 "recursion_example": ("epsilon0", "eps_hold", "eps_floor"),
+                 "constant": ("epsilon0", "c_const", "eps_hold", "eps_floor")}
+    ALPHA_READS = {"fixed": ("T0",), "cooled": ("burn_in", "alpha_burn", "cool_scale")}
 
     epsilon0: float = 1.0
     T0: float = 100.0
@@ -77,9 +82,9 @@ class ScheduleConfig:
             raise ValueError("scale parameters must be positive")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
-        if self.c_mode not in ("recursion_example", "explicit_log", "constant"):
+        if self.c_mode not in self.EPS_READS:
             raise ValueError(f"unknown c_mode {self.c_mode!r}")
-        if self.alpha_mode not in ("fixed", "cooled"):
+        if self.alpha_mode not in self.ALPHA_READS:
             raise ValueError(f"unknown alpha_mode {self.alpha_mode!r}")
         if not 0.0 <= self.c_const < 1.0:
             raise ValueError("c_const must be in [0, 1)")
@@ -154,11 +159,8 @@ def step_temperature(state: ScheduleState, cfg: ScheduleConfig) -> float:
 
 
 def initial_state(cfg: ScheduleConfig) -> ScheduleState:
-    """Schedule values at n = 0.
-
-    Cooled mode starts from temp = 1/alpha_burn (T0 only applies to fixed
-    mode); explicit-log mode ignores epsilon0 and starts clamped at 1.
-    """
+    """Schedule values at n = 0: cooled mode starts from temp = 1/alpha_burn,
+    explicit-log mode from eps = 1."""
     eps = explicit_log_eps(0) if cfg.c_mode == "explicit_log" else cfg.epsilon0
     temp = 1.0 / cfg.alpha_burn if cfg.alpha_mode == "cooled" else cfg.T0
     return ScheduleState(n=0, eps=eps, temp=temp)

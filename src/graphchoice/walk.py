@@ -291,17 +291,30 @@ def step(state: WalkState, g: Graph, rm: RewardModel, cfg: ScheduleConfig,
     return state
 
 
+def check_run(g: Graph, rm: RewardModel, n_steps: int, seeds,
+              record_stride: int, start) -> None:
+    """A batched run's input rules, checked before any work. `start` is None,
+    a node id or a nonempty pool of ids."""
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if record_stride < 1:
+        raise ValueError("record_stride must be >= 1")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be nonempty and distinct")
+    if rm.mu.size != g.m:
+        raise ValueError(f"{rm.mu.size} rewards for a {g.m}-node graph")
+    pool = [] if start is None else [start] if isinstance(start, int) else list(start)
+    if start is not None and not (pool and all(1 <= s <= g.m for s in pool)):
+        raise ValueError(f"start {start!r} is not a node or a node pool in 1..{g.m}")
+
+
 def _resolve_starts(g: Graph, start, rngs: list[WalkRng]) -> np.ndarray:
     """Start nodes per run (0-based). Uniform policies consume the init stream."""
     if start is None:
         return np.array([r.init.integers(0, g.m) for r in rngs], dtype=np.int64)
     if isinstance(start, int):
-        if not 1 <= start <= g.m:
-            raise ValueError(f"start node {start} out of range")
         return np.full(len(rngs), start - 1, dtype=np.int64)
     pool = np.array([int(s) - 1 for s in start], dtype=np.int64)
-    if pool.size == 0 or pool.min() < 0 or pool.max() >= g.m:
-        raise ValueError("start pool contains out-of-range nodes")
     return np.array([pool[r.init.integers(0, pool.size)] for r in rngs],
                     dtype=np.int64)
 
@@ -336,15 +349,8 @@ def _run_engine(g: Graph, rm: RewardModel, kind: str, columns, n_steps: int,
     lists. Both loops record the node and the S row at each snapshot, and
     x = S/n is formed from them afterwards.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if record_stride < 1:
-        raise ValueError("record_stride must be >= 1")
     seeds = [int(s) for s in seeds]
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seeds must be distinct")
-    if rm.mu.size != g.m:
-        raise ValueError("reward vector length != node count")
+    check_run(g, rm, n_steps, seeds, record_stride, start)
     eps_col, temp_col = columns(n_steps)
     alpha_col = 1.0 / temp_col  # as ScheduleState.alpha and schedule_arrays
     cols = [col[_LAG[kind]:] for col in (eps_col, alpha_col, temp_col)]

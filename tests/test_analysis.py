@@ -448,6 +448,9 @@ def test_eigen_bound_extreme_corner():
         p[0] = 1.0 - (m_i - 1) * eps / m_i
         res = analysis.covariance_eigen_bound(p, eps, m_i)
         assert res.margin >= -1e-12
+        # p None stands for this corner
+        corner = analysis.covariance_eigen_bound(None, eps, m_i)
+        assert np.array_equal(corner.p, p) and corner.lam_min == res.lam_min
 
 
 def test_eigen_bound_random_mixtures():
@@ -463,6 +466,15 @@ def test_eigen_bound_random_mixtures():
 def test_eigen_bound_rejects_floor_violation():
     with pytest.raises(ValueError):
         analysis.covariance_eigen_bound(np.array([0.9, 0.05, 0.05]), 0.6, 3)
+
+
+@pytest.mark.parametrize("p, m_i", [([np.nan, 0.5, 0.5], 3),
+                                    ([np.inf, 0.5, 0.5], 3),
+                                    (None, 0), (None, 1), (None, None)])
+def test_eigen_bound_rejects_bad_arguments_before_solving(p, m_i):
+    # a NaN entry is an argument error, not an eigenvalue below the floor
+    with pytest.raises(ValueError):
+        analysis.covariance_eigen_bound(p, 0.3, m_i)
 
 
 def test_eigen_bound_raises_when_eigenvalue_below_floor(monkeypatch):

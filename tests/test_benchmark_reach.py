@@ -46,3 +46,17 @@ def test_benchmark_names_resolve_in_the_package(monkeypatch):
         module = vars(getattr(gc, layer))
         assert all(module[k] is v for k, v in names.items()), layer
     workloads._touch_caches(graphs.make_two_cliques(2, 3))
+
+
+def test_benchmark_configs_parse(monkeypatch, tmp_path):
+    # the documents each simulation workload builds at set-up: a config rule
+    # that rejects one would stop the benchmark before its first pass
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    _load(monkeypatch, "outputs")
+    workloads = _load(monkeypatch, "workloads")
+    from graphchoice import harness
+    for name, count in (("configs", 9), ("wide_sparse", 1), ("trace_io", 2)):
+        docs = workloads.Simulation(name, 1, tmp_path)._docs(harness)
+        assert len(docs) == count
+        for doc in docs:
+            harness.parse_config(doc)

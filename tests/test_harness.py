@@ -1,12 +1,15 @@
 import json
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from graphchoice import cli, graphs, harness, walk
 from graphchoice.harness import ConfigError
+from graphchoice.baselines import GreedyConfig
+from graphchoice.schedules import ScheduleConfig
 
 
 def mini_config(**overrides):
@@ -24,6 +27,14 @@ def mini_config(**overrides):
         "start": "uniform",
     }
     doc.update(overrides)
+    return doc
+
+
+def algorithm_config(algo, **overrides):
+    """mini_config run by `algo`: the baselines read no walk schedule."""
+    doc = mini_config(algorithm=algo, **overrides)
+    if algo != "reinforced":
+        del doc["schedule"]
     return doc
 
 
@@ -97,14 +108,17 @@ def test_seeds_forms():
 
 
 def test_bad_schedule_block_reported():
-    with pytest.raises(ConfigError):
-        harness.parse_config(mini_config(schedule={"epsilon0": 2.0}))
+    # each key under a mode that reads it, so each case meets its own rule
+    with pytest.raises(ConfigError, match="epsilon0 must be in"):
+        harness.parse_config(mini_config(schedule={"c_mode": "constant",
+                                                   "epsilon0": 2.0}))
     with pytest.raises(ConfigError):
         harness.parse_config(mini_config(schedule={"nope": 1}))
     with pytest.raises(ConfigError):
         harness.parse_config(mini_config(schedule={"T0": float("nan")}))
-    with pytest.raises(ConfigError):
-        harness.parse_config(mini_config(schedule={"cool_scale": float("inf")}))
+    with pytest.raises(ConfigError, match="cool_scale must be a finite"):
+        harness.parse_config(mini_config(schedule={"alpha_mode": "cooled",
+                                                   "cool_scale": float("inf")}))
     with pytest.raises(ConfigError):
         harness.parse_config(mini_config(noise_std=float("nan")))
     with pytest.raises(ConfigError):
@@ -115,6 +129,72 @@ def test_bad_schedule_block_reported():
         harness.parse_config(mini_config(mu=[2.0, 0.25, float("inf"), 1.0]))
     with pytest.raises(ConfigError):
         harness.parse_config(mini_config(start=True))
+
+
+# For each schedule and greedy_eps key: a value out of its range and one of
+# the wrong kind. The runs that read or ignore a key come from the tables
+# beside ScheduleConfig and GreedyConfig.
+BAD_VALUES = {"epsilon0": (0.0, "1"), "T0": (-1.0, True), "c_mode": ("nope", 5),
+              "c_const": (1.0, "0.5"), "eps_hold": (-1, "3"),
+              "eps_floor": (1.5, [0.1]), "alpha_mode": ("hot", 1),
+              "burn_in": (-1, 2.5), "alpha_burn": (0.0, "x"),
+              "cool_scale": (0.0, None), "gamma_sa": (0.0, "0.1"),
+              "mode": ("sometimes", 1), "value": (1.5, "0.1")}
+GREEDY_READS = {mode: tuple(f.removeprefix("eps_") for f in fields)
+                for mode, fields in GreedyConfig.READS.items()}  # config keys
+MODE_TABLES = {"schedule": (("c_mode", ScheduleConfig.EPS_READS),
+                            ("alpha_mode", ScheduleConfig.ALPHA_READS)),
+               "greedy_eps": (("mode", GREEDY_READS),)}
+
+
+def _runs(key):
+    """The block holding `key`, a run (algorithm, modes) that reads it and
+    the runs that never read it."""
+    if key == "gamma_sa":
+        return "schedule", ("sa", {}), [("reinforced", {}), ("greedy", {})]
+    greedy = any(key in keys for keys in GREEDY_READS.values())
+    block, algo = ("greedy_eps", "greedy") if greedy else ("schedule", "reinforced")
+    reading = (algo, {})
+    ignoring = [(other, {}) for other in ("reinforced", "sa", "greedy")
+                if other != algo]
+    for mode_key, table in MODE_TABLES[block]:
+        for mode, reads in table.items():
+            if key in reads:
+                reading = (algo, {mode_key: mode})
+            elif key in {k for r in table.values() for k in r}:
+                ignoring.append((algo, {mode_key: mode}))
+    return block, reading, ignoring
+
+
+def _boundary_cases():
+    assert set(BAD_VALUES) == ({f.name for f in fields(ScheduleConfig)}
+                               | {"mode", "value"})
+    defaults = {**vars(ScheduleConfig()), "mode": "one_over_n", "value": 0.1}
+
+    def doc(algo, block, modes, value):
+        base = {k: v for k, v in mini_config().items() if k != "schedule"}
+        return {**base, "algorithm": algo, block: {**modes, key: value}}
+
+    for key, bad in BAD_VALUES.items():
+        block, reading, ignoring = _runs(key)
+        read = doc(reading[0], block, reading[1], defaults[key])
+        for value, what in zip(bad, ("range", "kind")):
+            yield pytest.param(doc(reading[0], block, reading[1], value), read,
+                               id=f"{key}-{what}")
+        for algo, modes in ignoring:
+            yield pytest.param(doc(algo, block, modes, defaults[key]), read,
+                               id="-".join([key, "unread", algo, *modes.values()]))
+
+
+@pytest.mark.parametrize("bad, read", _boundary_cases())
+def test_every_config_key_is_checked_at_the_boundary(tmp_path, capsys, bad,
+                                                     read):
+    harness.parse_config(read)  # the default value, under a run that reads it
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", write_config(tmp_path, bad),
+                     "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
 
 
 def test_bundled_configs_load_and_validate():
@@ -228,7 +308,7 @@ def test_summary_reads_a_final_row_longer_than_one_block(tmp_path):
 
 def test_summary_matches_the_in_memory_finals_for_every_algorithm(tmp_path):
     for algo in ("reinforced", "sa", "greedy"):
-        cfg = harness.parse_config(mini_config(algorithm=algo))
+        cfg = harness.parse_config(algorithm_config(algo))
         out = str(tmp_path / algo)
         summary = harness.run_experiment(cfg, out)
         trajs = harness.run_trajectories(cfg)
@@ -267,8 +347,7 @@ def test_run_experiment_does_not_parse_whole_trajectories(tmp_path,
 
 def test_all_algorithms_run(tmp_path):
     for algo in ("reinforced", "sa", "greedy"):
-        cfg = harness.parse_config(mini_config(name=f"mini_{algo}",
-                                               algorithm=algo))
+        cfg = harness.parse_config(algorithm_config(algo, name=f"mini_{algo}"))
         trajs = harness.run_trajectories(cfg)
         assert len(trajs) == 3
         assert trajs[0].ns[-1] == 600
@@ -360,15 +439,6 @@ def test_cli_out_of_range_acceptance_node_exits_2_before_running(tmp_path,
     assert not os.path.exists(out)
 
 
-def test_cli_analyze_non_finite_alpha_exits_2(capsys):
-    rc = cli.main(["analyze", "--kind", "stationary", "--graph", "linear:3",
-                   "--mu", "2,1,1", "--alpha", "nan"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "config"
-
-
 def test_cli_missing_config_exits_2(capsys):
     assert cli.main(["run", "--config", "no_such_config"]) == 2
 
@@ -443,17 +513,6 @@ def test_cli_analyze_eigenbound_equality(capsys):
     assert doc["lam_min"] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_cli_analyze_eigenbound_bad_arguments_exit_2(capsys):
-    for extra in (["--mi", "1", "--eps", "0.5"],
-                  ["--mi", "2", "--eps", "2"],
-                  ["--mi", "3", "--eps", "0.5", "--p", "0.5,0.5"],
-                  ["--mi", "3", "--eps", "0.5", "--p", "0.5,0.3,0.3"]):
-        assert cli.main(["analyze", "--kind", "eigenbound", *extra]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert json.loads(err)["error"] == "config"
-
-
 def test_cli_analyze_potential(capsys):
     rc = cli.main(["analyze", "--kind", "potential", "--graph", "complete:2",
                    "--mu", "1,1", "--alpha", "1.0", "--x", "0.5,0.5"])
@@ -473,9 +532,49 @@ def test_cli_analyze_concentration(capsys):
     assert doc["entries"][-1]["optimal_mass"] > 0.99
 
 
-def test_cli_analyze_missing_params_exit_2(capsys):
-    assert cli.main(["analyze", "--kind", "stationary", "--mu", "1,1"]) == 2
-    assert cli.main(["analyze", "--kind", "eigenbound"]) == 2
+# Every analyze argument the analysis cannot take exits 2 with a config
+# error and no output; the analysis function that reads an argument owns its
+# range, and a RuntimeError from a failed computation stays exit 3.
+LINEAR3 = ["--graph", "linear:3", "--mu", "2,1,1"]
+COMPLETE4 = ["--graph", "complete:4", "--mu", "2,0.25,0.5,1"]
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("stationary", ["--mu", "1,1"]),                        # no --graph
+    ("stationary", ["--graph", "linear:3", "--alpha", "1"]),  # no --mu
+    ("stationary", LINEAR3),                                # no --alpha
+    ("stationary", ["--graph", "ring:3", "--mu", "2,1,1", "--alpha", "1"]),
+    ("stationary", ["--graph", "linear:3", "--mu", "2,x,1", "--alpha", "1"]),
+    ("stationary", ["--graph", "linear:3", "--mu", "2,0,1", "--alpha", "1"]),
+    ("stationary", ["--graph", "linear:3", "--mu", "2,inf,1", "--alpha", "1"]),
+    ("stationary", ["--graph", "linear:3", "--mu", "2,1", "--alpha", "1"]),
+    *[("stationary", [*LINEAR3, "--alpha", a]) for a in ("nan", "0", "-1", "inf")],
+    ("stationary", [*LINEAR3, "--alpha", "1", "--x", "0,0.5,0.5"]),
+    ("stationary", [*COMPLETE4, "--alpha", "1", "--x", ".5,.5"]),
+    ("potential", [*LINEAR3, "--alpha", "1", "--x", "1,0,0"]),
+    ("fixedpoint", [*COMPLETE4, "--alpha", "-1"]),
+    ("fixedpoint", ["--graph", "complete:4", "--mu", "2,1,1", "--alpha", ".85"]),
+    ("fixedpoint", [*COMPLETE4, "--alpha", "2", "--x", ".5,.5"]),
+    ("concentration", COMPLETE4),                           # no --alphas
+    ("concentration", [*COMPLETE4, "--alphas", "0,1"]),
+    ("concentration", [*COMPLETE4, "--alphas", "1,nan"]),
+    ("concentration", [*COMPLETE4, "--alphas", "2,1"]),
+    ("concentration", [*COMPLETE4, "--alphas", "1,2", "--x", ".5,.5"]),
+    ("eigenbound", []),
+    ("eigenbound", ["--mi", "2"]),
+    *[("eigenbound", ["--mi", m, "--eps", "0.5"]) for m in ("1", "0", "-3")],
+    *[("eigenbound", ["--mi", "2", "--eps", e]) for e in ("2", "0", "-1", "nan")],
+    ("eigenbound", ["--mi", "3", "--eps", "0.5", "--p", "0.5,0.5"]),
+    ("eigenbound", ["--mi", "3", "--eps", "0.5", "--p", "0.5,0.3,0.3"]),
+    ("eigenbound", ["--mi", "2", "--eps", "0.5", "--p", "1.5,-0.5"]),
+    ("eigenbound", ["--mi", "3", "--eps", "0.3", "--p", "nan,.5,.5"]),
+    ("eigenbound", ["--mi", "2", "--eps", "0.5", "--p", "a,b"]),
+], ids=lambda v: "_".join(a.lstrip("-") for a in v) if isinstance(v, list) else v)
+def test_cli_analyze_bad_arguments_exit_2(kind, extra, capsys):
+    assert cli.main(["analyze", "--kind", kind, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "config"
 
 
 def test_cli_compare_assert_failure(tmp_path, capsys, monkeypatch):

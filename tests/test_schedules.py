@@ -284,10 +284,16 @@ def test_config_validation():
                 {"seeds": {"count": 2, "base": -1}},
                 {"noise_std": -1},
                 {"out_dir": 5},
-                {"schedule": {"burn_in": 50.5}},
-                {"schedule": {"eps_hold": 2.5}}):
+                {"schema": True}, {"seeds": []}, {"seeds": {"count": 0}},
+                {"name": "a\0b"},  # a path no file system takes
+                {"acceptance": {**doc["acceptance"], "nodes": []}}):
         with pytest.raises(harness.ConfigError):
             harness.parse_config({**doc, **bad})
+    # each step count under a mode that reads it, so it meets its own rule
+    for schedule in ({"alpha_mode": "cooled", "burn_in": 50.5},
+                     {"c_mode": "constant", "eps_hold": 2.5}):
+        with pytest.raises(harness.ConfigError, match="must be an integer"):
+            harness.parse_config({**doc, "schedule": schedule})
 
 
 def test_integral_step_counts_run_as_integers():
