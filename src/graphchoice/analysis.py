@@ -331,18 +331,17 @@ def optimal_set(mu) -> np.ndarray:
     return np.flatnonzero(mu >= mu.max() * (1.0 - 1e-12))
 
 
-def unconstrained_fixed_point(mu, alpha: float, m: int | None = None) -> np.ndarray:
+def unconstrained_fixed_point(mu, alpha: float) -> np.ndarray:
     """Complete-graph rest point for alpha in (0, 1):
 
         x_i = mu_i**(alpha/(1-alpha)) / sum_k mu_k**(alpha/(1-alpha)),
 
-    evaluated in log space (scale-independent in mu by construction); m,
-    where given, is the node count mu must match.
+    evaluated in log space (scale-independent in mu by construction).
     """
     alpha = _check_alpha(alpha)
     if alpha >= 1.0:
         raise ValueError("closed form requires alpha in (0, 1)")
-    mu = _as_rewards(mu, np.size(mu) if m is None else m)
+    mu = _as_rewards(mu, np.size(mu))
     expo = alpha / (1.0 - alpha)
     logw = expo * np.log(mu)
     w = np.exp(logw - logw.max())
@@ -449,7 +448,8 @@ def covariance_eigen_bound(p, eps: float, m_i: int | None = None) -> EigenBoundR
     all carry the exploration floor eps/m_i (None: the worst-case corner of
     the floored simplex). The covariance diag(p) - p p^T restricted to
     {y : sum y = 0} then has smallest eigenvalue >= eps/m_i; the achieved
-    eigenvalue, the floor, their margin and p are returned.
+    eigenvalue, the floor and their margin are returned, with p itself so a
+    caller that passed None can report the corner.
     """
     m_i = np.size(p) if m_i is None else m_i
     if m_i < 2 or (p is not None and np.size(p) != m_i):

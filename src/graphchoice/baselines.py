@@ -56,8 +56,8 @@ class SAConfig:
 
 @dataclass(frozen=True)
 class GreedyConfig:
-    READS = {"one_over_n": ("eps_mode",),  # the fields each eps_mode reads
-             "constant": ("eps_mode", "eps_value")}
+    READS = {"one_over_n": ("mode",),  # the greedy_eps keys each eps_mode reads
+             "constant": ("mode", "value")}
     eps_mode: str = "one_over_n"  # or 'constant'
     eps_value: float = 0.1        # used by 'constant'
 

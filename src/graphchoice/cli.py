@@ -128,9 +128,9 @@ def _analyze(args) -> dict:
         raise ConfigError(f"{kind} needs --alpha")
 
     if kind == "fixedpoint":
-        if g.adjacency_bool.all() and alpha < 1.0:
+        if g.adjacency_bool.all() and alpha < 1.0 and mu.size == g.m:
             return {"kind": kind, "method": "closed_form", "alpha": alpha,
-                    "point": analysis.unconstrained_fixed_point(mu, alpha, g.m)}
+                    "point": analysis.unconstrained_fixed_point(mu, alpha)}
         fp = analysis.find_fixed_point(g, mu, alpha, z0=x)
         return {"kind": kind, "method": "ode", "alpha": alpha,
                 "point": fp.point, "residual": fp.residual,

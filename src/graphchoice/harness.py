@@ -179,18 +179,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
     mu = np.array([_number(v, "mu entry") for v in doc["mu"]])
     noise_std = _number(doc.get("noise_std", 0.0), "noise_std")
     rm = _owned("rewards", walk.RewardModel, mu=mu, noise_std=noise_std)
-    schedule = _owned("schedule block", ScheduleConfig, **doc.get("schedule", {}))
-    greedy_spec = doc.get("greedy_eps", {})
-    if not isinstance(greedy_spec, dict) or set(greedy_spec) - {"mode", "value"}:
-        raise ConfigError("greedy_eps must be an object with keys mode, value")
+    schedule_spec, greedy_spec = doc.get("schedule", {}), doc.get("greedy_eps", {})
+    if not (isinstance(schedule_spec, dict) and isinstance(greedy_spec, dict)):
+        raise ConfigError("schedule and greedy_eps must be JSON objects")
+    schedule = _owned("schedule block", ScheduleConfig, **schedule_spec)
     greedy_eps = _owned(
         "greedy_eps block", baselines.GreedyConfig,
         eps_mode=greedy_spec.get("mode", "one_over_n"),
         eps_value=_number(greedy_spec.get("value", 0.1), "greedy_eps value"))
     walk_keys = {"c_mode", "alpha_mode", *schedule.EPS_READS[schedule.c_mode],
                  *schedule.ALPHA_READS[schedule.alpha_mode]}
-    greedy_keys = {k for k in ("mode", "value")
-                   if f"eps_{k}" in greedy_eps.READS[greedy_eps.eps_mode]}
+    greedy_keys = set(greedy_eps.READS[greedy_eps.eps_mode])
     reads = {"reinforced": {"schedule": walk_keys}, "sa": {"schedule": {"gamma_sa"}},
              "greedy": {"greedy_eps": greedy_keys}}[algo]
     for block in set(doc) & {"schedule", "greedy_eps"}:

@@ -140,11 +140,9 @@ BAD_VALUES = {"epsilon0": (0.0, "1"), "T0": (-1.0, True), "c_mode": ("nope", 5),
               "burn_in": (-1, 2.5), "alpha_burn": (0.0, "x"),
               "cool_scale": (0.0, None), "gamma_sa": (0.0, "0.1"),
               "mode": ("sometimes", 1), "value": (1.5, "0.1")}
-GREEDY_READS = {mode: tuple(f.removeprefix("eps_") for f in fields)
-                for mode, fields in GreedyConfig.READS.items()}  # config keys
 MODE_TABLES = {"schedule": (("c_mode", ScheduleConfig.EPS_READS),
                             ("alpha_mode", ScheduleConfig.ALPHA_READS)),
-               "greedy_eps": (("mode", GREEDY_READS),)}
+               "greedy_eps": (("mode", GreedyConfig.READS),)}
 
 
 def _runs(key):
@@ -152,7 +150,7 @@ def _runs(key):
     the runs that never read it."""
     if key == "gamma_sa":
         return "schedule", ("sa", {}), [("reinforced", {}), ("greedy", {})]
-    greedy = any(key in keys for keys in GREEDY_READS.values())
+    greedy = any(key in keys for keys in GreedyConfig.READS.values())
     block, algo = ("greedy_eps", "greedy") if greedy else ("schedule", "reinforced")
     reading = (algo, {})
     ignoring = [(other, {}) for other in ("reinforced", "sa", "greedy")

@@ -280,6 +280,7 @@ def test_config_validation():
                 {"acceptance": 5},
                 {"greedy_eps": {"mod": "constant"}},
                 {"greedy_eps": 5},
+                {"schedule": 5}, {"schedule": None}, {"schedule": []},
                 {"seeds": [-1]},
                 {"seeds": {"count": 2, "base": -1}},
                 {"noise_std": -1},
