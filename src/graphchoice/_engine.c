@@ -1,11 +1,12 @@
 /* Row kernels of graphchoice's batched engine: one call runs a block of steps
  * for every row (seed) of a batch. A second entry, gc_rk4_window, runs one
- * RK4 window of the rest-point solver (see the end of the file).
+ * RK4 window of the rest-point solver, and a third, gc_format_rows, writes
+ * the rows of trajectory.csv (see the end of the file).
  *
  *     cc -O2 -ffp-contract=off -shared -fPIC -o engine.so _engine.c -lm
  *
- * graphchoice._engine builds and loads this file at the first engine call
- * or RK4 window; walk._run_engine refills the random blocks, passes the
+ * graphchoice._engine builds and loads this file at the first engine call,
+ * RK4 window or CSV write; walk._run_engine refills the random blocks, passes the
  * schedule columns (see gc_run_block) and assembles the results.
  *
  * State layout, shared with the numpy loop in walk._numpy_block: S (int64
@@ -304,4 +305,170 @@ int64_t gc_rk4_window(int32_t dyn, int64_t m, const uint8_t *adj,
     }
     *h = step;
     return halvings;
+}
+
+/* The CSV rows of Trajectory.to_csv, byte for byte as the f-string writer
+ * walk._csv_rows writes them: "n,node+1,repr(eps),repr(alpha),repr(x_1),
+ * ...,repr(x_m)\n". repr_double matches CPython's repr (mode-0 dtoa): the
+ * shortest digit string that reads back as v under round-half-even, the
+ * one closest to v among those, an exact tie going to the even last digit;
+ * positional notation for decimal exponents -4..15 with ".0" on integral
+ * values, "1e-05" style below. It works in exact integer arithmetic on its
+ * range, 2^-40 <= |v| < 2^53 (which holds [1e-12, 9e15]) and +-0, and
+ * refuses every other value, NaN and infinities among them. */
+
+typedef unsigned __int128 u128;
+
+static const uint64_t POW5[28] = {  /* 5^0 .. 5^27, the last below 2^63 */
+    1ull, 5ull, 25ull, 125ull, 625ull, 3125ull, 15625ull, 78125ull,
+    390625ull, 1953125ull, 9765625ull, 48828125ull, 244140625ull,
+    1220703125ull, 6103515625ull, 30517578125ull, 152587890625ull,
+    762939453125ull, 3814697265625ull, 19073486328125ull, 95367431640625ull,
+    476837158203125ull, 2384185791015625ull, 11920928955078125ull,
+    59604644775390625ull, 298023223876953125ull, 1490116119384765625ull,
+    7450580596923828125ull};
+
+static char *put_int(char *p, int64_t v)
+{
+    char d[20];
+    int nd = 0;
+    uint64_t u = v < 0 ? -(uint64_t)v : (uint64_t)v;
+    do {
+        d[nd++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (v < 0)
+        *p++ = '-';
+    while (nd)
+        *p++ = d[--nd];
+    return p;
+}
+
+/* repr(v) at p; the end of the text, or NULL where v is out of range. */
+static char *repr_double(char *p, double v)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    if (bits >> 63)
+        *p++ = '-';
+    int be = (int)(bits >> 52) & 0x7ff;
+    uint64_t frac = bits & ((1ull << 52) - 1);
+    if (be == 0 && frac == 0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    int e2 = be - 1075;  /* |v| = m2 * 2^e2 */
+    if (e2 < -92 || e2 > 0)
+        return NULL;
+    uint64_t m2 = frac | (1ull << 52);
+
+    /* E = floor(log10(2^(e2 + 52))) <= log10|v| < E + 1, so b = |v| 10^K
+     * with K = 16 - E lies in [1e16, 2e17): 17 or 18 digits. With 1 <= K
+     * <= 29, 4 m2 5^K < 2^123, and B = 4 m2 5^K = b 2^sh exactly. */
+    int t = (e2 + 52) * 78913;  /* 78913 / 2^18 = log10(2) to 7 digits */
+    int E = t >= 0 ? t >> 18 : -(((-t - 1) >> 18) + 1);
+    int K = 16 - E, sh = 2 - e2 - K;  /* 1 <= sh <= 65 */
+    u128 p5 = K < 28 ? (u128)POW5[K] : (u128)POW5[27] * POW5[K - 27];
+    u128 B = (u128)(m2 << 2) * p5;
+    /* The numbers that read back as v lie within half an ulp (2 p5 in
+     * B's units) above it and below it, a quarter below a power of two:
+     * the integers below+1 .. top at b's scale. An end itself reads back
+     * as v for an even m2, but that never matters in this range: an end
+     * is a whole number only where 2^(1 - e2) divides 10^K, that is at
+     * e2 = 0, where it is b +- 5, and the loop below drops that digit. */
+    u128 A = B - (frac == 0 && be > 1 ? p5 : p5 << 1), C = B + (p5 << 1);
+    u128 mask = ((u128)1 << sh) - 1;
+    uint64_t b = (uint64_t)(B >> sh), below = (uint64_t)(A >> sh),
+             top = (uint64_t)(C >> sh);
+
+    /* the most trailing digits j that a number in range can drop */
+    uint64_t pow10 = 1;
+    int j = 0;
+    while (top / 10 > below / 10) {
+        top /= 10;
+        below /= 10;
+        pow10 *= 10;
+        j++;
+    }
+    /* n or n + 1 times 10^j, whichever in range is closer to b */
+    uint64_t n = b / pow10, r = b - n * pow10;
+    if (n == below) {
+        n++;
+    } else if (n < top) {
+        u128 f = B & mask, half = (u128)1 << (sh - 1);
+        int c = 2 * r + 1 < pow10 ? -1
+              : 2 * r > pow10 ? 1
+              : 2 * r == pow10 ? f != 0
+              : (f > half) - (f < half);
+        n += c > 0 || (c == 0 && (n & 1));
+    }
+
+    char d[20];
+    int nd = 0;
+    for (; n; n /= 10)
+        d[nd++] = (char)('0' + n % 10);
+    int dp = nd + j - K;  /* |v| = 0.DIGITS * 10^dp, dp <= 16 in range */
+    if (dp < -3) {  /* below 1e-04: "d.ddde-XX" */
+        *p++ = d[--nd];
+        if (nd)
+            *p++ = '.';
+        while (nd)
+            *p++ = d[--nd];
+        *p++ = 'e';
+        *p++ = '-';
+        if (1 - dp < 10)
+            *p++ = '0';
+        return put_int(p, 1 - dp);
+    }
+    if (dp <= 0) {
+        *p++ = '0';
+        *p++ = '.';
+        for (; dp < 0; dp++)
+            *p++ = '0';
+    }
+    for (; nd; dp--) {
+        *p++ = d[--nd];
+        if (dp == 1 && nd)
+            *p++ = '.';
+    }
+    if (dp >= 0) {  /* integral: zeros to the point, then ".0" */
+        for (; dp > 0; dp--)
+            *p++ = '0';
+        memcpy(p, ".0", 2);
+        p += 2;
+    }
+    return p;
+}
+
+/* n_rows CSV rows of an (n_rows, m) x block and its columns into out,
+ * which holds cap bytes. Returns the bytes written, or -1 where a float is
+ * out of repr_double's range or cap is below n_rows * (44 + 24 (m + 2)),
+ * the longest rows: two 20-digit ints, m + 2 floats of up to 23 bytes, the
+ * commas and the newline. */
+int64_t gc_format_rows(int64_t n_rows, int64_t m, const int64_t *ns,
+                       const int64_t *nodes, const double *eps,
+                       const double *alpha, const double *xs, char *out,
+                       int64_t cap)
+{
+    if (cap < n_rows * (44 + 24 * (m + 2)))
+        return -1;
+    char *p = out;
+    for (int64_t r = 0; r < n_rows; r++) {
+        p = put_int(p, ns[r]);
+        *p++ = ',';
+        p = put_int(p, nodes[r] + 1);
+        *p++ = ',';
+        if (!(p = repr_double(p, eps[r])))
+            return -1;
+        *p++ = ',';
+        if (!(p = repr_double(p, alpha[r])))
+            return -1;
+        for (int64_t i = 0; i < m; i++) {
+            *p++ = ',';
+            if (!(p = repr_double(p, xs[r * m + i])))
+                return -1;
+        }
+        *p++ = '\n';
+    }
+    return p - out;
 }

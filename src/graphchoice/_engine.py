@@ -6,8 +6,9 @@ The library is built on first use, never at import: `cc -O2
 source and the flags, and renamed into place atomically so that concurrent
 first runs never load a partial file. Where no compiler or cache directory
 is usable, `load` returns None and the engine and the rest-point solver run
-their numpy loops. `walk` and `analysis` import this module at the first
-engine call or RK4 window, not at import.
+their numpy loops and `Trajectory.to_csv` its f-string rows. `walk` and
+`analysis` import this module at the first engine call or RK4 window, not
+at import; `_writer` calls its CSV row writer, `gc_format_rows`.
 """
 from __future__ import annotations
 
@@ -72,6 +73,10 @@ def load():
                                   ptr, ptr, i64, f64,       # z, h, steps, dt_min
                                   ptr, ptr]                 # path, work
     lib.gc_rk4_window.restype = i64
+    lib.gc_format_rows.argtypes = [i64, i64, ptr, ptr,  # rows, m, ns, nodes
+                                   ptr, ptr, ptr,       # eps, alpha, xs
+                                   ptr, i64]            # out, its bytes
+    lib.gc_format_rows.restype = i64
     return lib
 
 
@@ -143,3 +148,4 @@ def rk4_window(dynamics: str, g, mu, alpha: float, z, h: float, steps: int,
     if halvings < 0:
         raise RuntimeError(f"RK4 step fell below {dt_min}")
     return path, float(h_io[0]), halvings
+

@@ -92,10 +92,22 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+# The options each analyze kind reads; giving it any other is an error.
+_READS = {"stationary": {"graph", "mu", "alpha", "x"},
+          "potential": {"graph", "mu", "alpha", "x"},
+          "fixedpoint": {"graph", "mu", "alpha", "x"},
+          "concentration": {"graph", "mu", "alphas", "x"},
+          "eigenbound": {"mi", "eps", "p"}}
+
+
 def _analyze(args) -> dict:
     """The analyze document of `args.kind`. Each range rule of the arguments
     belongs to the analysis function that reads them, and raises ValueError."""
     kind = args.kind
+    unread = sorted(name for name in set().union(*_READS.values()) - _READS[kind]
+                    if getattr(args, name) is not None)
+    if unread:
+        raise ConfigError(f"{kind} does not read --{', --'.join(unread)}")
     if kind == "eigenbound":
         if args.mi is None or args.eps is None:
             raise ConfigError("eigenbound needs --mi and --eps")
@@ -129,6 +141,8 @@ def _analyze(args) -> dict:
 
     if kind == "fixedpoint":
         if g.adjacency_bool.all() and alpha < 1.0 and mu.size == g.m:
+            if x is not None:  # unread by the closed form, but still checked
+                analysis._as_interior(x, g.m)
             return {"kind": kind, "method": "closed_form", "alpha": alpha,
                     "point": analysis.unconstrained_fixed_point(mu, alpha)}
         fp = analysis.find_fixed_point(g, mu, alpha, z0=x)

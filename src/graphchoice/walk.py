@@ -33,6 +33,8 @@ here, with the same arithmetic, so the nodes, counts and estimates agree;
 `engine_name()` says which one runs. An algorithm reaches either loop as
 its kernel's name and the eps and temperature columns its trajectory
 records, read at the state it leaves (walk) or one step ahead (`_LAG`).
+`Trajectory.to_csv` writes each float as its `repr`; the same library
+formats the rows, exactly, and `_csv_rows` is the reference and fallback.
 
 Randomness protocol (recorded in run metadata): each seed expands through
 numpy's SeedSequence into three independent PCG64 streams, [init, select,
@@ -137,14 +139,25 @@ class Trajectory:
     final_state: WalkState | None = None
 
     def to_csv(self, path) -> None:
+        """The header, then one row per snapshot, each float as its `repr`,
+        formatted in blocks by `gc_format_rows` or, where it cannot run or
+        refuses a value, by `_csv_rows`: the same bytes either way."""
+        from . import _writer  # at the first write: importing stays lean
         m = self.xs.shape[1]
-        with open(path, "w") as fh:
-            fh.write("n,xi,eps,alpha," + ",".join(f"x_{i+1}" for i in range(m)) + "\n")
-            fh.writelines(
-                f"{n},{node + 1},{e!r},{a!r},{','.join(map(repr, x))}\n"
-                for n, node, e, a, x in zip(
-                    self.ns.tolist(), self.nodes.tolist(), self.eps.tolist(),
-                    self.alphas.tolist(), self.xs.tolist()))
+        with open(path, "wb") as fh:
+            fh.write(("n,xi,eps,alpha," + ",".join(f"x_{i+1}" for i in range(m))
+                      + "\n").encode())
+            _writer.write_rows(fh, self.ns, self.nodes, self.eps, self.alphas,
+                               self.xs, _csv_rows)
+
+
+def _csv_rows(ns, nodes, eps, alphas, xs) -> str:
+    """The CSV rows of `Trajectory.to_csv` as text, one f-string per row:
+    the reference for `gc_format_rows` and the writer where it cannot run."""
+    return "".join(
+        f"{n},{node + 1},{e!r},{a!r},{','.join(map(repr, x))}\n"
+        for n, node, e, a, x in zip(ns.tolist(), nodes.tolist(), eps.tolist(),
+                                    alphas.tolist(), xs.tolist()))
 
 
 def read_trajectory_csv(path, seed: int = -1) -> Trajectory:

@@ -5,9 +5,13 @@ renamed or deleted name would break only a traced or set-up benchmark run,
 so this test resolves every name those two paths use."""
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+
+import pytest
 
 from graphchoice import graphs
 
@@ -60,3 +64,50 @@ def test_benchmark_configs_parse(monkeypatch, tmp_path):
         assert len(docs) == count
         for doc in docs:
             harness.parse_config(doc)
+
+
+def test_setup_layers_do_not_import_the_compiled_engine_or_writer(monkeypatch):
+    # a benchmark set-up imports these layers afresh: the compiled engine's
+    # loader (and its build) and the CSV writer wait for their first call
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = _load(monkeypatch, "workloads")
+    src = Path(graphs.__file__).resolve().parent.parent
+    code = ("import importlib, sys\n"
+            f"for layer in {workloads.LAYERS!r}:\n"
+            "    importlib.import_module('graphchoice.' + layer)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('graphchoice.')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0, done.stderr
+    assert "graphchoice._engine" not in done.stdout
+    assert "graphchoice._writer" not in done.stdout
+    assert all(f"graphchoice.{layer}" in done.stdout for layer in workloads.LAYERS)
+
+
+def test_no_block_falls_back_on_shipped_traffic(monkeypatch, tmp_path):
+    # every value the bundled configs (at 2e4 steps, every step recorded)
+    # and the benchmark's simulation workloads write is in the compiled
+    # writer's exact range: no block of theirs is formatted in Python
+    from graphchoice import _engine, harness
+    lib = _engine.load()
+    if lib is None:
+        pytest.skip("no compiled library")
+    fn, sizes = lib.gc_format_rows, []
+
+    def counted(*args):
+        sizes.append(fn(*args))
+        return sizes[-1]
+    monkeypatch.setattr(lib, "gc_format_rows", counted)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    _load(monkeypatch, "outputs")
+    workloads = _load(monkeypatch, "workloads")
+    docs = [{**harness.load_config(name).raw, "n_steps": 20_000,
+             "record_stride": 1} for name in harness.bundled_config_names()]
+    for name in ("configs", "wide_sparse", "trace_io"):
+        docs += workloads.Simulation(name, 1, tmp_path)._docs(harness)
+    files = 0
+    for doc in docs:
+        for traj in harness.run_trajectories(harness.parse_config(doc)):
+            traj.to_csv(tmp_path / "t.csv")
+            files += 1
+    assert len(sizes) >= files and min(sizes) > 0

@@ -553,6 +553,7 @@ COMPLETE4 = ["--graph", "complete:4", "--mu", "2,0.25,0.5,1"]
     ("fixedpoint", [*COMPLETE4, "--alpha", "-1"]),
     ("fixedpoint", ["--graph", "complete:4", "--mu", "2,1,1", "--alpha", ".85"]),
     ("fixedpoint", [*COMPLETE4, "--alpha", "2", "--x", ".5,.5"]),
+    ("fixedpoint", [*COMPLETE4, "--alpha", ".85", "--x", ".5,.5"]),  # closed form
     ("concentration", COMPLETE4),                           # no --alphas
     ("concentration", [*COMPLETE4, "--alphas", "0,1"]),
     ("concentration", [*COMPLETE4, "--alphas", "1,nan"]),
@@ -573,6 +574,27 @@ def test_cli_analyze_bad_arguments_exit_2(kind, extra, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("kind, extra, unread", [
+    ("potential", [*COMPLETE4, "--alpha", ".85", "--alphas", "5,1", "--mi", "3",
+                   "--p", "7"], "--alphas, --mi, --p"),
+    ("stationary", [*LINEAR3, "--alpha", "1", "--eps", "0.3"], "--eps"),
+    ("fixedpoint", [*COMPLETE4, "--alpha", ".85", "--alphas", "1,2"], "--alphas"),
+    ("concentration", [*COMPLETE4, "--alphas", "1,2", "--alpha", "1"], "--alpha"),
+    ("eigenbound", ["--mi", "3", "--eps", "0.3", "--graph", "complete:4",
+                    "--alpha", "2"], "--alpha, --graph"),
+    ("eigenbound", ["--mi", "3", "--eps", "0.3", "--x", ".5,.5"], "--x"),
+])
+def test_cli_analyze_rejects_options_its_kind_never_reads(kind, extra, unread,
+                                                         capsys):
+    # an option the kind ignores would be accepted silently: each kind reads
+    # the options of cli._READS, and any other given option exits 2
+    assert cli.main(["analyze", "--kind", kind, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "config",
+                               "message": f"{kind} does not read {unread}"}
 
 
 def test_cli_compare_assert_failure(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import json
 import re
 import shutil
@@ -306,6 +307,127 @@ def test_trajectory_csv_writes_repr_text(tmp_path):
         "1.0,5e-324,0.30000000000000004,0.3333333333333333\n")
 
 
+# gc_format_rows' exact range: 2^-40 <= |v| < 2^53, and +-0
+FORMAT_LO, FORMAT_HI = 2.0 ** -40, 2.0 ** 53
+
+
+def _c_reprs(values):
+    """The compiled writer's text for each value, formatted as the x column
+    of one-node rows; None where it refuses the block."""
+    if _engine.load() is None:
+        pytest.skip("no compiled library")
+    x = np.array(values, dtype=np.float64)
+    n = x.size
+    zeros, ones = np.zeros(n, dtype=np.int64), np.ones(n)
+    out = np.empty(n * (44 + 24 * 3), dtype=np.uint8)
+    size = _engine.load().gc_format_rows(
+        n, 1, zeros.ctypes.data, zeros.ctypes.data, ones.ctypes.data,
+        ones.ctypes.data, x.ctypes.data, out.ctypes.data, out.size)
+    if size < 0:
+        return None
+    rows = out[:size].tobytes().decode().splitlines()
+    return [row.split(",")[4] for row in rows]
+
+
+def _bit_patterns(rng, size):
+    lo, hi = (np.array([v]).view(np.int64)[0] for v in (FORMAT_LO, FORMAT_HI))
+    return rng.integers(lo, hi, size=size).view(np.float64)
+
+
+# value sets on which the compiled writer must equal float.__repr__: the
+# shortest round-trip digits with CPython's tie rule, the notation switches
+# at 1e-04 / 1e-05, the asymmetric rounding intervals of powers of two and
+# the whole-number interval ends from 2^52 on
+REPR_SETS = {
+    "awkward": [1 / 3, 0.1 + 0.2, 1.0, 0.0, -0.0, -2.5, 1e-05, 1e-04, 115.0],
+    "S/n": [S / n for n in range(1, 601) for S in range(1, n + 1)],
+    "powers of two": [s * 2.0 ** k for k in range(-40, 53) for s in (1, -1)],
+    "around powers of ten": [w for k in range(-12, 16) for v in [float(f"1e{k}")]
+                             for w in (np.nextafter(v, 0), v,
+                                       np.nextafter(v, np.inf))],
+    "whole numbers from 2^52": 2.0 ** 52 + np.arange(0, 2.0 ** 52, 2.0 ** 41),
+    "bit patterns": _bit_patterns(np.random.default_rng(17), 200_000),
+    "negative bit patterns": -_bit_patterns(np.random.default_rng(18), 2000),
+}
+
+
+@pytest.mark.parametrize("name", REPR_SETS)
+def test_compiled_writer_matches_repr(name):
+    values = [float(v) for v in REPR_SETS[name]]
+    assert _c_reprs(values) == [repr(v) for v in values]
+
+
+@pytest.mark.parametrize("value", [5e-324, 1e-300, np.nextafter(FORMAT_LO, 0),
+                                   FORMAT_HI, 1e300, np.nan, np.inf, -np.inf])
+def test_compiled_writer_refuses_values_outside_its_range(value):
+    assert _c_reprs([0.5, value, 0.25]) is None
+
+
+def _long_trajectory(rows=5000):
+    g = graphs.make_linear(4)
+    rm = walk.RewardModel(mu=np.array([2, 0.25, 0.5, 1.0]), noise_std=0.3)
+    cfg = ScheduleConfig(c_mode="explicit_log", alpha_mode="cooled", burn_in=3)
+    return walk.run(g, rm, cfg, rows - 1, seed=5)
+
+
+def _reference_csv(traj) -> bytes:
+    header = "n,xi,eps,alpha," + ",".join(f"x_{i+1}" for i in
+                                          range(traj.xs.shape[1])) + "\n"
+    return (header + walk._csv_rows(traj.ns, traj.nodes, traj.eps,
+                                    traj.alphas, traj.xs)).encode()
+
+
+def _count_blocks(monkeypatch):
+    """The return value of every gc_format_rows call from here on."""
+    lib = _engine.load()
+    if lib is None:
+        pytest.skip("no compiled library")
+    fn, sizes = lib.gc_format_rows, []
+
+    def counted(*args):
+        sizes.append(fn(*args))
+        return sizes[-1]
+    monkeypatch.setattr(lib, "gc_format_rows", counted)
+    return sizes
+
+
+def test_both_writers_write_the_same_bytes(monkeypatch, tmp_path):
+    # several blocks of rows, through the library and without it, and from
+    # columns the library reads only after a conversion
+    traj = _long_trajectory()
+    converted = dataclasses.replace(traj, nodes=traj.nodes.astype(np.int32),
+                                    xs=np.asfortranarray(traj.xs))
+    sizes = _count_blocks(monkeypatch)
+    traj.to_csv(tmp_path / "c.csv")
+    converted.to_csv(tmp_path / "converted.csv")
+    assert len(sizes) > 2 and min(sizes) > 0
+    monkeypatch.setattr(_engine, "load", lambda: None)
+    traj.to_csv(tmp_path / "py.csv")
+    for name in ("c", "converted", "py"):
+        assert (tmp_path / f"{name}.csv").read_bytes() == _reference_csv(traj)
+
+
+@pytest.mark.parametrize("column", ["ns", "nodes", "eps", "alphas"])
+def test_csv_columns_must_match_the_rows(monkeypatch, tmp_path, column):
+    # the compiled writer reads one value per row from each column
+    traj = _long_trajectory(10)
+    short = dataclasses.replace(traj, **{column: getattr(traj, column)[:-1]})
+    for load in (_engine.load, lambda: None):
+        monkeypatch.setattr(_engine, "load", load)
+        with pytest.raises(ValueError, match="one n, node, eps and alpha"):
+            short.to_csv(tmp_path / "t.csv")
+
+
+@pytest.mark.parametrize("value", [1e-300, np.nan, np.inf])
+def test_a_refused_block_alone_falls_back(monkeypatch, tmp_path, value):
+    traj = _long_trajectory()
+    traj.xs[2000, 1] = value
+    sizes = _count_blocks(monkeypatch)
+    traj.to_csv(tmp_path / "t.csv")
+    assert len(sizes) > 2 and sizes.count(-1) == 1 and sizes[0] > 0
+    assert (tmp_path / "t.csv").read_bytes() == _reference_csv(traj)
+
+
 def _chorded_path(m, n_chords, seed):
     rng = np.random.default_rng(seed)
     edges = [(k, k + 1) for k in range(1, m)]
@@ -425,8 +547,8 @@ def test_compiled_signature_matches_its_argtypes():
     lib = _engine.load()
     source = _engine.SOURCE.read_text()
     exported = re.findall(r"^(\w+) (gc_\w+)\(([^)]*)\)", source, re.M)
-    assert sorted(name for _, name, _ in exported) == ["gc_rk4_window",
-                                                      "gc_run_block"]
+    assert sorted(name for _, name, _ in exported) == [
+        "gc_format_rows", "gc_rk4_window", "gc_run_block"]
     for restype, name, params in exported:
         declared = [ctypes.c_void_p if "*" in p else scalar[p.split()[0]]
                     for p in params.split(",")]
