@@ -41,9 +41,10 @@ numpy's SeedSequence into three independent PCG64 streams, [init, select,
 noise]. The init stream is consumed only when the start node is drawn
 uniformly; the select stream yields exactly one uniform per step (the slot
 draw via the cumulative kernel row); the noise stream yields exactly one
-standard normal per step. Because the streams are separate and consumed in
-fixed order, a batched run over many seeds is bit-identical to running each
-seed alone.
+standard normal per step. The engine draws them per block of steps, each
+refill sized to its block, so a run of n steps draws n of each. Because the
+streams are separate and consumed in fixed order, a batched run over many
+seeds is bit-identical to running each seed alone.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ from . import schedules
 from .graphs import Graph
 from .schedules import ScheduleConfig, ScheduleState
 
-_BLOCK = 1 << 12  # random numbers pre-drawn per stream per refill
+_BLOCK = 1 << 12  # steps per engine block: the most values a refill draws
 
 
 @dataclass(frozen=True)
@@ -143,10 +144,8 @@ class Trajectory:
         formatted in blocks by `gc_format_rows` or, where it cannot run or
         refuses a value, by `_csv_rows`: the same bytes either way."""
         from . import _writer  # at the first write: importing stays lean
-        m = self.xs.shape[1]
         with open(path, "wb") as fh:
-            fh.write(("n,xi,eps,alpha," + ",".join(f"x_{i+1}" for i in range(m))
-                      + "\n").encode())
+            fh.write(_writer.header(self.xs.shape[1]))
             _writer.write_rows(fh, self.ns, self.nodes, self.eps, self.alphas,
                                self.xs, _csv_rows)
 
@@ -354,13 +353,15 @@ def _run_engine(g: Graph, rm: RewardModel, kind: str, columns, n_steps: int,
     kernel reads all three columns `_LAG[kind]` rows ahead of the step.
     `S` (int64 visit counts) and `mu_hat` are flat (R, m+1) arrays whose
     column m stays zero; a step reads each row's neighbor slots through
-    flat indices row*(m+1) + id, padding reading column m. The
-    select/noise streams are drawn in blocks of `_BLOCK` per row; each block
-    runs through the compiled row kernels of `_engine.c` in one call, or,
-    where they cannot be built, through the numpy loop of `_numpy_block`,
-    one step for all rows at a time, with the arithmetic that the C header
-    lists. Both loops record the node and the S row at each snapshot, and
-    x = S/n is formed from them afterwards.
+    flat indices row*(m+1) + id, padding reading column m. Before each
+    block of at most `_BLOCK` steps, every row draws one uniform and one
+    normal per step of the block, no more, into (R, min(_BLOCK, n_steps))
+    buffers; a fill is sequential, so the values do not depend on the
+    block size. Each block runs through the compiled row kernels of
+    `_engine.c` in one call, or, where they cannot be built, through the
+    numpy loop of `_numpy_block`, one step for all rows at a time, with the
+    arithmetic that the C header lists. Both loops record the node and the
+    S row at each snapshot, and x = S/n is formed from them afterwards.
     """
     seeds = [int(s) for s in seeds]
     check_run(g, rm, n_steps, seeds, record_stride, start)
@@ -375,8 +376,8 @@ def _run_engine(g: Graph, rm: RewardModel, kind: str, columns, n_steps: int,
     mu_hat = np.zeros(R * (m + 1))
     S_rows = S.reshape(R, m + 1)[:, :m]
     mu_rows = mu_hat.reshape(R, m + 1)[:, :m]
-    U = np.empty((R, _BLOCK))
-    Z = np.empty((R, _BLOCK))
+    U = np.empty((R, min(_BLOCK, n_steps)))
+    Z = np.empty(U.shape)
     ns = np.arange(0, n_steps + 1, record_stride)
     if ns[-1] != n_steps:
         ns = np.append(ns, n_steps)
@@ -391,10 +392,11 @@ def _run_engine(g: Graph, rm: RewardModel, kind: str, columns, n_steps: int,
                  or _numpy_block(g, rm, kind, cols, n_steps, record_stride,
                                  *buffers))
     for t0 in range(0, n_steps, _BLOCK):
+        t1 = min(t0 + _BLOCK, n_steps)
         for r in range(R):
-            rngs[r].select.random(out=U[r])
-            rngs[r].noise.standard_normal(out=Z[r])
-        run_block(t0, min(t0 + _BLOCK, n_steps), U, Z)
+            rngs[r].select.random(out=U[r, :t1 - t0])
+            rngs[r].noise.standard_normal(out=Z[r, :t1 - t0])
+        run_block(t0, t1, U, Z)
 
     x_mat = np.empty(S_snap.shape)
     x_mat[:, 0] = 1.0 / m

@@ -1,6 +1,9 @@
 import json
 import os
 import re
+import sys
+import threading
+from concurrent import futures
 from dataclasses import fields
 
 import numpy as np
@@ -289,6 +292,114 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):
         harness.run_experiment(cfg, out)
     assert open(path, "rb").read() == before
     assert sorted(os.listdir(seed_dir)) == listing
+
+
+def seeds_config(count, **overrides):
+    """mini_config on seeds 5.. 5+count-1: from four seeds on, run_experiment
+    makes the seed directories on worker threads."""
+    return harness.parse_config(mini_config(seeds={"count": count, "base": 5},
+                                            **overrides))
+
+
+@pytest.mark.parametrize("count", [3, 8])
+def test_trajectories_are_written_on_the_calling_thread(tmp_path, monkeypatch,
+                                                        count):
+    # worker threads make the seed directories and meta.json; to_csv stays on
+    # the caller's thread, where a single-stack span tracer can wrap it
+    threads, to_csv = [], walk.Trajectory.to_csv
+
+    def record(self, path):
+        threads.append(threading.get_ident())
+        to_csv(self, path)
+
+    monkeypatch.setattr(walk.Trajectory, "to_csv", record)
+    harness.run_experiment(seeds_config(count), str(tmp_path))
+    assert threads == [threading.get_ident()] * count
+
+
+@pytest.mark.parametrize("cpus", [1, None, 2, 64])
+@pytest.mark.parametrize("count", [3, 4, 13])
+def test_worker_threads_never_outnumber_the_cpus(tmp_path, monkeypatch, cpus,
+                                                 count):
+    # one worker per four seeds at most, and none for fewer than four
+    workers, pool = [], futures.ThreadPoolExecutor
+
+    def counted(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", counted)
+    summary = harness.run_experiment(seeds_config(count), str(tmp_path))
+    assert workers == [min(cpus or 1, count // 4)] * (count >= 4)
+    assert sorted(summary["final_x"], key=int) == [str(5 + k) for k in range(count)]
+
+
+def test_many_worker_threads_write_the_same_files(tmp_path, monkeypatch):
+    # more workers than cores, switching threads as often as the interpreter
+    # allows: every file equals the one-thread run's, byte for byte
+    cfg = seeds_config(24, n_steps=60, record_stride=30)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        harness.run_experiment(cfg, str(tmp_path / "many"))
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(harness, "_SEEDS_PER_WORKER", 25)  # starts no thread
+    harness.run_experiment(cfg, str(tmp_path / "one"))
+    one = sorted(p.relative_to(tmp_path / "one")
+                 for p in (tmp_path / "one").rglob("*") if p.is_file())
+    assert len(one) == 2 * 24 + 1
+    for rel in one:
+        assert ((tmp_path / "many" / rel).read_bytes()
+                == (tmp_path / "one" / rel).read_bytes())
+    assert _no_temporary_files(tmp_path)
+
+
+def _no_temporary_files(root):
+    return not [p for p in root.rglob("*") if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("count", [3, 8])
+def test_a_failed_trajectory_write_stops_the_run(tmp_path, monkeypatch, count):
+    calls, to_csv = [], walk.Trajectory.to_csv
+
+    def fail_second(self, target):
+        calls.append(self.seed)
+        if len(calls) == 2:
+            with open(target, "w") as fh:
+                fh.write("n,xi,eps,alpha\n0,")
+            raise OSError("disk full")
+        to_csv(self, target)
+
+    monkeypatch.setattr(walk.Trajectory, "to_csv", fail_second)
+    with pytest.raises(OSError, match="disk full"):
+        harness.run_experiment(seeds_config(count), str(tmp_path))
+    assert calls == [5, 6]
+    assert _no_temporary_files(tmp_path)
+    assert (tmp_path / "mini" / "5" / "trajectory.csv").is_file()
+    assert not (tmp_path / "mini" / "6" / "trajectory.csv").exists()
+    assert not (tmp_path / "mini" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("count", [3, 8])
+def test_a_failed_meta_write_stops_the_run(tmp_path, monkeypatch, count):
+    from graphchoice import _writer
+    dumps = _writer.dumps
+
+    def refuse_seed_6(doc):
+        if doc.get("seed") == 6:
+            raise OSError("no space for meta.json")
+        return dumps(doc)
+
+    monkeypatch.setattr(_writer, "dumps", refuse_seed_6)
+    with pytest.raises(OSError, match="no space for meta.json"):
+        harness.run_experiment(seeds_config(count), str(tmp_path))
+    assert _no_temporary_files(tmp_path)
+    assert not (tmp_path / "mini" / "6" / "meta.json").exists()
+    assert not (tmp_path / "mini" / "6" / "trajectory.csv").exists()
+    assert not (tmp_path / "mini" / "summary.json").exists()
 
 
 def test_summary_reads_a_final_row_longer_than_one_block(tmp_path):

@@ -178,6 +178,60 @@ def test_batch_runs_bit_identical_to_single_runs():
                                   [traj.eps[-1], traj.alphas[-1]])
 
 
+@pytest.mark.parametrize("loop", ["c", "numpy"])
+@pytest.mark.parametrize("n_steps", [1, 300, 4095, 4096, 4097])
+def test_batches_equal_solo_runs_at_every_refill_size(monkeypatch, loop,
+                                                      n_steps):
+    # the random refills are sized to the run: shorter than one block, one
+    # block less a step, one block, and one step into a second block
+    if loop == "numpy":
+        monkeypatch.setattr(_engine, "load", lambda: None)
+    elif _engine.load() is None:
+        pytest.skip("no compiled library")
+    g = graphs.make_linear(4)
+    rm = walk.RewardModel(mu=np.array([2, 0.25, 0.5, 1.0]), noise_std=0.3)
+    cfg = ScheduleConfig(c_mode="explicit_log", alpha_mode="cooled", burn_in=3)
+    stride = max(1, n_steps // 3)
+    batch = walk.run_batch(g, rm, cfg, n_steps, [3, 4, 5], record_stride=stride)
+    solo = walk.run(g, rm, cfg, n_steps, seed=5, record_stride=stride)
+    for name in ("ns", "nodes", "xs", "eps", "alphas"):
+        assert np.array_equal(getattr(solo, name), getattr(batch[-1], name))
+    for name in ("counts", "mu_hat"):
+        assert np.array_equal(getattr(solo.final_state, name),
+                              getattr(batch[-1].final_state, name))
+
+
+def test_a_run_draws_one_uniform_and_one_normal_per_step(monkeypatch):
+    # the RNG protocol, exactly: no refill draws past the run's last step
+    drawn = {"select": [], "noise": []}
+
+    class Counted:
+        def __init__(self, gen, name):
+            self.gen, self.sizes = gen, drawn[name]
+
+        def random(self, out):
+            self.sizes.append(out.size)
+            return self.gen.random(out=out)
+
+        def standard_normal(self, out):
+            self.sizes.append(out.size)
+            return self.gen.standard_normal(out=out)
+
+    class CountedRng(walk.WalkRng):
+        def __init__(self, seed):
+            super().__init__(seed)
+            self.select = Counted(self.select, "select")
+            self.noise = Counted(self.noise, "noise")
+
+    monkeypatch.setattr(walk, "WalkRng", CountedRng)
+    g = graphs.make_linear(4)
+    rm = walk.RewardModel(mu=np.array([2, 0.25, 0.5, 1.0]), noise_std=0.3)
+    walk.run_batch(g, rm, ScheduleConfig(c_mode="explicit_log"), 4097, [1, 2],
+                   record_stride=4097)
+    for sizes in drawn.values():
+        assert sorted(sizes) == [1, 1, walk._BLOCK, walk._BLOCK]
+
+
 def test_stepwise_loop_matches_run():
     g = graphs.make_linear(4)
     rm = walk.RewardModel(mu=np.array([2, 0.25, 0.5, 1.0]), noise_std=0.2)
