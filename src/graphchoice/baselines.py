@@ -14,23 +14,24 @@ running-mean reward estimates exactly like the reinforced walk:
     estimated reward, ties broken toward the lowest node id. Default
     schedule eps_n = 1/n.
 
-Runs go through the walk module's batched engine and reuse its
-Trajectory/CSV format and its run state, `WalkState`. Each batch runner
-hands the engine its kernel's name and the eps and temperature columns it
-records; step n -> n+1 reads them at n + 1. Both row kernels, `_sa_slots`
-and `_greedy_slots`, live in `walk` beside the reinforced one, as in
-`_engine.c`, and the stepwise references here call them. They work on
-the padded neighbor slots of `Graph.neighbor_slots`, so a step costs
-O(R*d_max): estimates are read through the engine's flat (R, m+1) layout,
-whose zero column m backs the padding slots, and the uniform slot rows (0 on
-padding) supply 1/|N(x)| and the mask that keeps padding out of the greedy
-argmax. The recorded `alpha` column holds 1/T_n for annealing and 0 for
-epsilon-greedy; the `eps` column holds 0 for annealing and eps_n for
-epsilon-greedy. A state's `sched` holds the same values: (eps=0, temp=T_n)
-for annealing and (eps=eps_n, temp=inf) for epsilon-greedy, so every run
-returns a `final_state` whose `sched` holds the last recorded eps and
-alpha. Randomness follows the same [init, select, noise] stream protocol as
-the reinforced walk: one selection uniform and one reward normal per step.
+Runs go through the walk module's batched engine, the only way to advance
+them (there is no stepwise API), and reuse its Trajectory/CSV format and its
+end-of-run state, `WalkState`. Each batch runner hands the engine its
+kernel's name and the eps and temperature columns it records; step n -> n+1
+reads them at n + 1. Both numpy row kernels, `_sa_slots` and
+`_greedy_slots`, live in `walk` beside the reinforced one, as in
+`_engine.c`. They work on the padded neighbor slots of
+`Graph.neighbor_slots`, so a step costs O(R*d_max): estimates are read
+through the engine's flat (R, m+1) layout, whose zero column m backs the
+padding slots, and the uniform slot rows (0 on padding) supply 1/|N(x)| and
+the mask that keeps padding out of the greedy argmax. The recorded `alpha`
+column holds 1/T_n for annealing and 0 for epsilon-greedy; the `eps` column
+holds 0 for annealing and eps_n for epsilon-greedy. A state's `sched` holds
+the same values: (eps=0, temp=T_n) for annealing and (eps=eps_n, temp=inf)
+for epsilon-greedy, so every run returns a `final_state` whose `sched` holds
+the last recorded eps and alpha. Randomness follows the same [init, select,
+noise] stream protocol as the reinforced walk: one selection uniform and one
+reward normal per step.
 """
 from __future__ import annotations
 
@@ -40,9 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .schedules import ScheduleState, exact_log
-from .walk import (RewardModel, Trajectory, WalkRng, WalkState, _greedy_slots,
-                   _move, _run_engine, _sa_slots, _scatter, _slot_row)
+from .schedules import exact_log
+from .walk import RewardModel, Trajectory, _run_engine
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,9 @@ class SAConfig:
     gamma: float = 0.1  # temperature scale, T_n = gamma / log(1 + n)
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise ValueError("gamma must be positive and finite")
+        if isinstance(self.gamma, bool) or not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be a positive finite number, "
+                             f"got {self.gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -68,27 +69,6 @@ class GreedyConfig:
             raise ValueError("eps_value must be in [0, 1]")
 
 
-def initial_state(g: Graph, start: int) -> WalkState:
-    """A baseline run at n = 0 from a 1-based start node: both columns
-    record eps = 0 and alpha = 0 there."""
-    return WalkState.initial(g, start, ScheduleState(n=0, eps=0.0, temp=math.inf))
-
-
-def sa_temperature(n: int, cfg: SAConfig) -> float:
-    """T_n = gamma / log(1 + n) for n >= 1."""
-    if n < 1:
-        raise ValueError("temperature index starts at n = 1")
-    return cfg.gamma / math.log(1.0 + n)
-
-
-def greedy_epsilon(n: int, cfg: GreedyConfig) -> float:
-    if n < 1:
-        raise ValueError("epsilon index starts at n = 1")
-    if cfg.eps_mode == "constant":
-        return cfg.eps_value
-    return 1.0 / n
-
-
 def _require_self_loops(g: Graph) -> None:
     """Annealing leaves its unused mass on the self-loop, so every node needs
     one: without it the row would not be stochastic."""
@@ -97,42 +77,13 @@ def _require_self_loops(g: Graph) -> None:
                          f"node; node {g.missing_self_loops[0]} has none")
 
 
-def sa_transition_row(state: WalkState, g: Graph) -> np.ndarray:
-    """Single-state annealing kernel row at the state's temperature."""
-    _require_self_loops(g)
-    nb, unif, mu_hat = _slot_row(g, state.current, state.mu_hat)
-    p = _sa_slots(mu_hat, state.mu_hat[[state.current]],
-                  (nb == state.current)[None, :], unif, state.sched.temp)
-    return _scatter(nb, p[0], g.m)
-
-
-def sa_step(state: WalkState, g: Graph, rm: RewardModel, cfg: SAConfig,
-            rng: WalkRng) -> WalkState:
-    """One annealing move at T_{n+1}; observes the reward of the node moved to."""
-    _require_self_loops(g)  # before the state changes
-    n = state.n + 1
-    state.sched = ScheduleState(n=n, eps=0.0, temp=sa_temperature(n, cfg))
-    return _move(state, sa_transition_row(state, g), rm, rng)
-
-
-def greedy_step(state: WalkState, g: Graph, rm: RewardModel,
-                cfg: GreedyConfig, rng: WalkRng) -> WalkState:
-    """One epsilon-greedy move at eps_{n+1}; observes the reward of the node
-    moved to."""
-    n = state.n + 1
-    state.sched = ScheduleState(n=n, eps=greedy_epsilon(n, cfg), temp=math.inf)
-    nb, unif, mu_hat = _slot_row(g, state.current, state.mu_hat)
-    p = _greedy_slots(mu_hat, unif, state.sched.eps)
-    return _move(state, _scatter(nb, p[0], g.m), rm, rng)
-
-
 def run_sa_batch(g: Graph, rm: RewardModel, cfg: SAConfig, n_steps: int,
                  seeds, record_stride: int = 1, start=None) -> list[Trajectory]:
     """Seeded annealing runs, one per seed, sharing (g, rm, cfg)."""
     _require_self_loops(g)
 
     def columns(n_steps):
-        with np.errstate(divide="ignore"):  # sa_temperature(n); T_0 = inf
+        with np.errstate(divide="ignore"):  # T_n = gamma/log(1+n); T_0 = inf
             return np.zeros(n_steps + 1), cfg.gamma / exact_log(1, n_steps + 2)
 
     return _run_engine(g, rm, "sa", columns, n_steps, seeds, record_stride,
@@ -144,7 +95,7 @@ def run_greedy_batch(g: Graph, rm: RewardModel, cfg: GreedyConfig,
                      start=None) -> list[Trajectory]:
     """Seeded epsilon-greedy runs, one per seed, sharing (g, rm, cfg)."""
     def columns(n_steps):
-        eps = np.zeros(n_steps + 1)  # greedy_epsilon(n) for n >= 1
+        eps = np.zeros(n_steps + 1)  # eps_n for n >= 1
         eps[1:] = (1.0 / np.arange(1, n_steps + 1)
                    if cfg.eps_mode == "one_over_n" else cfg.eps_value)
         return eps, np.full(n_steps + 1, math.inf)

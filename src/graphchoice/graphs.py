@@ -232,6 +232,16 @@ def save_graph(g: Graph, path) -> None:
         fh.write("\n")
 
 
+def _integral(value, what: str, path) -> int:
+    """An integral JSON number (4 or 4.0); strings, booleans and fractions
+    are rejected, not truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{path}: {what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_graph(path, repair: bool = True) -> tuple[Graph, list[str]]:
     """Load a graph description file.
 
@@ -243,8 +253,12 @@ def load_graph(path, repair: bool = True) -> tuple[Graph, list[str]]:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "m" not in doc or "edges" not in doc:
         raise ValueError(f"{path}: expected a JSON object with 'm' and 'edges'")
-    m = int(doc["m"])
-    edges = [(int(i), int(j)) for i, j in doc["edges"]]
+    m = _integral(doc["m"], "m", path)
+    if not isinstance(doc["edges"], list) or not all(
+            isinstance(e, list) and len(e) == 2 for e in doc["edges"]):
+        raise ValueError(f"{path}: edges must be a list of [i, j] pairs")
+    edges = [(_integral(i, "edge end", path), _integral(j, "edge end", path))
+             for i, j in doc["edges"]]
 
     raw = from_edges(m, edges, repair=False)
     notes: list[str] = []

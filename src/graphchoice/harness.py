@@ -195,6 +195,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not (isinstance(schedule_spec, dict) and isinstance(greedy_spec, dict)):
         raise ConfigError("schedule and greedy_eps must be JSON objects")
     schedule = _owned("schedule block", ScheduleConfig, **schedule_spec)
+    if algo == "sa":
+        _owned("schedule block", baselines.SAConfig, gamma=schedule.gamma_sa)
     greedy_eps = _owned(
         "greedy_eps block", baselines.GreedyConfig,
         eps_mode=greedy_spec.get("mode", "one_over_n"),

@@ -44,7 +44,8 @@ class ScheduleConfig:
     burn_in    steps to hold alpha at alpha_burn before cooling starts
     alpha_burn exponent held during burn-in (cooled mode starts from it)
     cool_scale multiplier on the cooling step b(n) = cool_scale/(n log n)
-    gamma_sa   temperature scale of the simulated-annealing baseline
+    gamma_sa   temperature scale of the simulated-annealing baseline,
+               checked by `baselines.SAConfig`, which reads it
     """
 
     # The fields the walk reads under each mode; the annealing baseline reads
@@ -68,7 +69,7 @@ class ScheduleConfig:
 
     def __post_init__(self):
         for name in ("epsilon0", "T0", "c_const", "eps_hold", "eps_floor",
-                     "burn_in", "alpha_burn", "cool_scale", "gamma_sa"):
+                     "burn_in", "alpha_burn", "cool_scale"):
             value = getattr(self, name)
             if isinstance(value, bool) or not math.isfinite(value):
                 raise ValueError(f"{name} must be a finite number")
@@ -78,7 +79,7 @@ class ScheduleConfig:
                 object.__setattr__(self, name, int(value))
         if not 0.0 < self.epsilon0 <= 1.0:
             raise ValueError("epsilon0 must be in (0, 1]")
-        if self.T0 <= 0 or self.alpha_burn <= 0 or self.gamma_sa <= 0:
+        if self.T0 <= 0 or self.alpha_burn <= 0:
             raise ValueError("scale parameters must be positive")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")

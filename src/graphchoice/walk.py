@@ -30,11 +30,13 @@ called once per block of `_BLOCK` steps for all rows. Where it cannot be
 built (no C compiler, no writable cache directory) the same steps run as a
 numpy loop over all rows at once, through the three numpy row kernels kept
 here, with the same arithmetic, so the nodes, counts and estimates agree;
-`engine_name()` says which one runs. An algorithm reaches either loop as
-its kernel's name and the eps and temperature columns its trajectory
-records, read at the state it leaves (walk) or one step ahead (`_LAG`).
-`Trajectory.to_csv` writes each float as its `repr`; the same library
-formats the rows, exactly, and `_csv_rows` is the reference and fallback.
+`engine_name()` says which one runs. This batched engine is the only way to
+advance a run: there is no stepwise API, and one move is a run of one step.
+An algorithm reaches either loop as its kernel's name and the eps and
+temperature columns its trajectory records, read at the state it leaves
+(walk) or one step ahead (`_LAG`). `Trajectory.to_csv` writes each float as
+its `repr`; the same library formats the rows, exactly, and `_csv_rows` is
+the reference and fallback.
 
 Randomness protocol (recorded in run metadata): each seed expands through
 numpy's SeedSequence into three independent PCG64 streams, [init, select,
@@ -93,10 +95,12 @@ class WalkRng:
 
 @dataclass
 class WalkState:
-    """Full state of a run at step n (single run, 0-based node).
+    """The state a run ends in at step n (0-based node): the engine returns
+    one per seed as its trajectory's `final_state`.
 
-    One state serves the reinforced walk and both baselines: only the move
-    row and its schedule differ. `sched` holds the values recorded at n.
+    One state serves the reinforced walk and both baselines. The start node
+    is neither counted nor observed, so sum(counts) == n and mu_hat_i is the
+    mean of exactly S_i observations. `sched` holds the values recorded at n.
     """
 
     n: int
@@ -105,19 +109,6 @@ class WalkState:
     x: np.ndarray       # visit frequencies counts/n (uniform at n = 0)
     mu_hat: np.ndarray  # running-mean reward estimates, 0 until first visit
     sched: ScheduleState
-
-    @classmethod
-    def initial(cls, g: Graph, start: int, sched: ScheduleState) -> "WalkState":
-        """State at n = 0: uniform x, zero counts and estimates.
-
-        `start` is 1-based. The start node constrains the first move but is
-        not counted or observed: counts track arrivals, so sum(S) == n holds
-        exactly and mu_hat_i is always the mean of exactly S_i observations.
-        """
-        if not 1 <= start <= g.m:
-            raise ValueError(f"start node {start} out of range")
-        return cls(n=0, current=start - 1, counts=np.zeros(g.m, dtype=np.int64),
-                   x=np.full(g.m, 1.0 / g.m), mu_hat=np.zeros(g.m), sched=sched)
 
 
 @dataclass
@@ -228,35 +219,6 @@ def _greedy_slots(mu_hat, unif, eps: float) -> np.ndarray:
     return p
 
 
-def _slot_row(g: Graph, node: int, *vectors):
-    """One state in the engine's slot layout, for the stepwise references:
-    the slot ids of N(node), then its uniform slot row and each m-vector read
-    on those slots as (1, d_max) rows, padding slots reading 0."""
-    ids, uniform = g.neighbor_slots
-    nb = ids[node]
-    return (nb, uniform[node][None, :],
-            *(np.append(v, 0.0)[nb][None, :] for v in vectors))
-
-
-def _scatter(nb: np.ndarray, row: np.ndarray, m: int) -> np.ndarray:
-    """A slot row back on all m nodes; padding slots land on the dropped id m."""
-    out = np.zeros(m + 1)
-    out[nb] = row
-    return out[:m]
-
-
-def transition_probabilities(state: WalkState, g: Graph) -> np.ndarray:
-    """Move distribution over all m nodes from the current state, at the
-    state's alpha and eps. The result is supported on N(current) and sums
-    to one."""
-    a, e = state.sched.alpha, state.sched.eps
-    if a <= 0:
-        raise ValueError("alpha must be positive")
-    nb, unif, x, mu_hat = _slot_row(g, state.current, state.x, state.mu_hat)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _scatter(nb, _reinforced_slots(x, mu_hat, unif, a, e)[0], g.m)
-
-
 def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per row; zero-probability entries (padding slots
     among them) are never selected."""
@@ -267,40 +229,6 @@ def _sample_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
         for r in np.flatnonzero(sel >= d):
             sel[r] = np.flatnonzero(probs[r] > 0)[-1]
     return sel
-
-
-def observe_and_update_mean(state: WalkState, node: int, rm: RewardModel,
-                            rng: WalkRng) -> float:
-    """Draw the reward observation at `node` (0-based) and fold it into mu_hat.
-
-    Must be called after counts[node] was incremented for this arrival; the
-    running mean then divides by the exact observation count.
-    """
-    obs = float(rm.mu[node]) + rm.noise_std * float(rng.noise.standard_normal())
-    s = state.counts[node]
-    state.mu_hat[node] += (obs - state.mu_hat[node]) / s
-    return obs
-
-
-def _move(state: WalkState, probs: np.ndarray, rm: RewardModel,
-          rng: WalkRng) -> WalkState:
-    """The move every algorithm shares: draw the next node from the m-vector
-    row `probs`, count it, observe its reward and advance n, in place."""
-    sel = int(_sample_rows(probs[None, :], np.array([rng.select.random()]))[0])
-    state.counts[sel] += 1
-    state.x = state.counts / (state.n + 1)
-    observe_and_update_mean(state, sel, rm, rng)
-    state.current = sel
-    state.n += 1
-    return state
-
-
-def step(state: WalkState, g: Graph, rm: RewardModel, cfg: ScheduleConfig,
-         rng: WalkRng) -> WalkState:
-    """Advance the walk one step in place; returns the mutated state."""
-    _move(state, transition_probabilities(state, g), rm, rng)
-    state.sched = schedules.advance(state.sched, cfg)
-    return state
 
 
 def check_run(g: Graph, rm: RewardModel, n_steps: int, seeds,

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from graphchoice import graphs
+from graphchoice import cli, graphs
 
 
 def test_complete_graph_is_valid():
@@ -128,3 +128,30 @@ def test_loader_repairs_asymmetry(tmp_path):
     assert any("self-loop" in n for n in notes)
     raw, _ = graphs.load_graph(path, repair=False)
     assert graphs.validate(raw) != []
+
+
+PATH_EDGES = [[1, 2], [2, 3], [3, 4]]
+
+
+@pytest.mark.parametrize("doc", [
+    {"m": 4.9, "edges": PATH_EDGES}, {"m": "4", "edges": PATH_EDGES},
+    {"m": True, "edges": PATH_EDGES}, {"m": 4, "edges": [[1, 2.7], [2, 3]]},
+    {"m": 4, "edges": [["1", 2], [2, 3]]}, {"m": 4, "edges": [[1, True]]},
+    {"m": 4, "edges": {"12": [2, 3]}}, {"m": 4, "edges": [[1, 2, 3]]},
+    {"m": 4, "edges": ["12", [2, 3]]}],
+    ids=["m-fraction", "m-string", "m-bool", "edge-fraction", "edge-string",
+         "edge-bool", "edges-dict", "edge-triple", "edge-string-pair"])
+def test_graph_file_needs_integral_m_and_integer_pairs(tmp_path, capsys, doc):
+    # nothing is truncated or unpacked into a graph: validate exits 2
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="must be"):
+        graphs.load_graph(path)
+    assert cli.main(["validate", "--graph", str(path)]) == 2
+    assert "OK" not in capsys.readouterr().out
+
+
+def test_graph_file_takes_integral_floats(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"m": 4.0, "edges": [[1, 2.0], [2, 3], [3, 4]]}))
+    assert graphs.load_graph(path)[0].nbrs == graphs.make_linear(4).nbrs

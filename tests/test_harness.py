@@ -5,6 +5,7 @@ import sys
 import threading
 from concurrent import futures
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,13 +136,13 @@ def test_bad_schedule_block_reported():
 
 
 # For each schedule and greedy_eps key: a value out of its range and one of
-# the wrong kind. The runs that read or ignore a key come from the tables
-# beside ScheduleConfig and GreedyConfig.
+# the wrong kind (and, for gamma_sa, a bool). The runs that read or ignore a
+# key come from the tables beside ScheduleConfig and GreedyConfig.
 BAD_VALUES = {"epsilon0": (0.0, "1"), "T0": (-1.0, True), "c_mode": ("nope", 5),
               "c_const": (1.0, "0.5"), "eps_hold": (-1, "3"),
               "eps_floor": (1.5, [0.1]), "alpha_mode": ("hot", 1),
               "burn_in": (-1, 2.5), "alpha_burn": (0.0, "x"),
-              "cool_scale": (0.0, None), "gamma_sa": (0.0, "0.1"),
+              "cool_scale": (0.0, None), "gamma_sa": (0.0, "0.1", True),
               "mode": ("sometimes", 1), "value": (1.5, "0.1")}
 MODE_TABLES = {"schedule": (("c_mode", ScheduleConfig.EPS_READS),
                             ("alpha_mode", ScheduleConfig.ALPHA_READS)),
@@ -179,7 +180,7 @@ def _boundary_cases():
     for key, bad in BAD_VALUES.items():
         block, reading, ignoring = _runs(key)
         read = doc(reading[0], block, reading[1], defaults[key])
-        for value, what in zip(bad, ("range", "kind")):
+        for value, what in zip(bad, ("range", "kind", "bool")):
             yield pytest.param(doc(reading[0], block, reading[1], value), read,
                                id=f"{key}-{what}")
         for algo, modes in ignoring:
@@ -234,13 +235,12 @@ def test_run_experiment_layout_and_summary(tmp_path):
     for seed in cfg.seeds:
         assert os.path.isfile(os.path.join(out, "mini", str(seed),
                                            "trajectory.csv"))
-        meta = json.load(open(os.path.join(out, "mini", str(seed),
-                                           "meta.json")))
+        meta = json.loads(Path(out, "mini", str(seed), "meta.json").read_text())
         assert meta["seed"] == seed
         assert meta["rng"].startswith("numpy-pcg64")
         assert meta["engine"] == walk.engine_name()
         assert meta["config_sha256"] == cfg.config_hash()
-    disk = json.load(open(os.path.join(out, "mini", "summary.json")))
+    disk = json.loads(Path(out, "mini", "summary.json").read_text())
     assert disk == json.loads(json.dumps(summary))
     # summaries are recomputable from the persisted trajectories alone
     again = harness.summarize_from_disk(cfg, os.path.join(out, "mini"))
@@ -268,9 +268,9 @@ def test_seed_override_runs_single_seed(tmp_path):
     out = str(tmp_path / "full_first")
     harness.run_experiment(cfg, out)
     path = os.path.join(out, "mini", "summary.json")
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     assert harness.run_experiment(cfg, out, seed_override=42)["seeds"] == [42]
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
 
 
 def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):
@@ -279,7 +279,7 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):
     harness.run_experiment(cfg, out)
     seed_dir = os.path.join(out, "mini", "5")
     path = os.path.join(seed_dir, "trajectory.csv")
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     listing = sorted(os.listdir(seed_dir))
 
     def half_write(self, target):
@@ -290,7 +290,7 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):
     monkeypatch.setattr(walk.Trajectory, "to_csv", half_write)
     with pytest.raises(OSError):
         harness.run_experiment(cfg, out)
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     assert sorted(os.listdir(seed_dir)) == listing
 
 

@@ -1,6 +1,8 @@
 import ctypes
 import dataclasses
+import functools
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -12,12 +14,22 @@ from graphchoice import _engine, baselines, graphs, harness, schedules, walk
 from graphchoice.schedules import ScheduleConfig
 
 
-def _state(g, x, mu_hat, current, n=10, eps=0.0, temp=1.0):
-    return walk.WalkState(n=n, current=current - 1,
-                          counts=np.ones(g.m, dtype=np.int64),
-                          x=np.asarray(x, dtype=float),
-                          mu_hat=np.asarray(mu_hat, dtype=float),
-                          sched=schedules.ScheduleState(n=n, eps=eps, temp=temp))
+def slot_rows(g, node, *vectors):
+    """The slot ids of N(node) for a 1-based `node`, its uniform slot row,
+    and each m-vector read on those slots, padding reading 0, as the engine
+    reads them: (1, d_max) rows."""
+    ids, unif = g.neighbor_slots
+    nb = ids[node - 1]
+    return (nb, unif[[node - 1]],
+            *(np.append(np.asarray(v, dtype=float), 0.0)[nb][None, :]
+              for v in vectors))
+
+
+def reinforced_row(g, node, x, mu_hat, eps=0.0, alpha=1.0):
+    """The reinforced slot row from `node` at frequencies x (or counts)."""
+    nb, unif, x, mu_hat = slot_rows(g, node, x, mu_hat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return walk._reinforced_slots(x, mu_hat, unif, alpha, eps)[0]
 
 
 def test_reward_model_validation():
@@ -32,102 +44,94 @@ def test_reward_model_validation():
 
 
 def test_pure_exploration_is_uniform_on_neighborhood():
-    g = graphs.make_linear(4)
-    st = _state(g, [0.4, 0.3, 0.2, 0.1], [2.0, 0.25, 0.5, 1.0], current=2,
-                eps=1.0)
-    p = walk.transition_probabilities(st, g)
-    assert np.allclose(p, [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-15)
+    g = graphs.make_linear(4)  # N(2) = {1, 2, 3}
+    p = reinforced_row(g, 2, [0.4, 0.3, 0.2, 0.1], [2.0, 0.25, 0.5, 1.0],
+                       eps=1.0)
+    assert np.allclose(p, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
 
 
 def test_reinforced_row_on_three_chain():
     # at node 2 of the 3-chain with mu_hat=(2,1,1), x=(0.5,0.25,0.25):
     # weights (1, 0.25, 0.25) -> (2/3, 1/6, 1/6)
     g = graphs.make_linear(3)
-    st = _state(g, [0.5, 0.25, 0.25], [2.0, 1.0, 1.0], current=2)
-    p = walk.transition_probabilities(st, g)
-    assert np.allclose(p, [2 / 3, 1 / 6, 1 / 6], atol=1e-14)
+    p = reinforced_row(g, 2, [0.5, 0.25, 0.25], [2.0, 1.0, 1.0])
+    assert np.allclose(p, [2 / 3, 1 / 6, 1 / 6], rtol=0, atol=1e-14)
 
 
 def test_large_alpha_concentrates_on_argmax():
     g = graphs.make_linear(3)
-    st = _state(g, [0.5, 0.25, 0.25], [2.0, 1.0, 1.0], current=2,
-                temp=1 / 200.0)
-    p = walk.transition_probabilities(st, g)
+    p = reinforced_row(g, 2, [0.5, 0.25, 0.25], [2.0, 1.0, 1.0], alpha=200.0)
     assert p[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_kernel_rows_are_distributions_on_neighborhoods():
     rng = np.random.default_rng(3)
     g = graphs.make_two_cliques(2, 5)
+    ids, _ = g.neighbor_slots
     for _ in range(200):
         x = rng.dirichlet(np.ones(g.m))
         mu_hat = rng.uniform(0.0, 2.0, g.m)  # zeros/unvisited allowed
         mu_hat[rng.random(g.m) < 0.3] = 0.0
         cur = int(rng.integers(1, g.m + 1))
-        st = _state(g, x, mu_hat, current=cur, temp=1 / rng.uniform(0.1, 8.0),
-                    eps=rng.uniform(0.0, 1.0))
-        p = walk.transition_probabilities(st, g)
+        p = reinforced_row(g, cur, x, mu_hat, eps=rng.uniform(0.0, 1.0),
+                           alpha=rng.uniform(0.1, 8.0))
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p >= 0.0)
-        off = np.ones(g.m, dtype=bool)
-        off[list(g.nbrs[cur - 1])] = False
-        assert np.all(p[off] == 0.0)
+        assert np.all(p[ids[cur - 1] == g.m] == 0.0)  # padding slots
 
 
 def test_reward_scale_invariance_of_kernel():
     g = graphs.make_linear(4)
-    st = _state(g, [0.4, 0.3, 0.2, 0.1], [2.0, 0.25, 0.5, 1.0], current=2,
-                eps=0.2, temp=1 / 1.7)
-    p1 = walk.transition_probabilities(st, g)
-    st.mu_hat = st.mu_hat * 7.3
-    p2 = walk.transition_probabilities(st, g)
+    x, mu_hat = [0.4, 0.3, 0.2, 0.1], np.array([2.0, 0.25, 0.5, 1.0])
+    p1 = reinforced_row(g, 2, x, mu_hat, eps=0.2, alpha=1.7)
+    p2 = reinforced_row(g, 2, x, mu_hat * 7.3, eps=0.2, alpha=1.7)
     assert np.abs(p1 - p2).max() < 1e-12
 
 
 def test_nonpositive_estimates_carry_no_weight():
     g = graphs.make_linear(3)
-    st = _state(g, [0.5, 0.25, 0.25], [2.0, -0.4, 1.0], current=2)
-    p = walk.transition_probabilities(st, g)
-    assert p[1] == 0.0
+    p = reinforced_row(g, 2, [0.5, 0.25, 0.25], [2.0, -0.4, 1.0])
+    assert p[1] == 0.0  # node 2's own slot
 
 
 def test_all_zero_neighborhood_falls_back_to_uniform():
     g = graphs.make_linear(4)
-    st = _state(g, [0.25] * 4, [0.0] * 4, current=2)
-    p = walk.transition_probabilities(st, g)
-    assert np.allclose(p, [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-15)
+    for node, row in ((2, [1 / 3, 1 / 3, 1 / 3]), (1, [0.5, 0.5, 0.0])):
+        p = reinforced_row(g, node, [0.25] * 4, [0.0] * 4)
+        assert np.allclose(p, row, rtol=0, atol=1e-15)
 
 
 def test_running_mean_first_and_second_visit():
-    g = graphs.make_linear(3)
+    # after one arrival the estimate is that observation, after a second
+    # the mean of both: one step, then two, of one seeded run whose first
+    # two moves enter the same node
+    g = graphs.make_complete(2)
+    rm = walk.RewardModel(mu=np.array([0.7, 1.0]), noise_std=0.5)
     cfg = ScheduleConfig()
-    rng = walk.WalkRng(0)
-    st = walk.WalkState.initial(g, 1, schedules.initial_state(cfg))
-    rm = walk.RewardModel(mu=np.array([0.7, 1.0, 1.0]), noise_std=0.0)
-    st.counts[0] = 1
-    obs = walk.observe_and_update_mean(st, 0, rm, rng)
-    assert obs == 0.7 and st.mu_hat[0] == 0.7
-    # second visit observing 0.9 -> running mean 0.8
-    rm2 = walk.RewardModel(mu=np.array([0.9, 1.0, 1.0]), noise_std=0.0)
-    st.counts[0] = 2
-    walk.observe_and_update_mean(st, 0, rm2, rng)
-    assert st.mu_hat[0] == pytest.approx(0.8, abs=1e-15)
+    seed = next(s for s in range(100)
+                if len(set(walk.run(g, rm, cfg, 2, seed=s).nodes[1:])) == 1)
+    one, two = (walk.run(g, rm, cfg, n, seed=seed).final_state for n in (1, 2))
+    v = one.current
+    obs = rm.mu[v] + rm.noise_std * walk.WalkRng(seed).noise.standard_normal(2)
+    assert one.counts[v] == 1 and one.mu_hat[v] == obs[0]
+    assert two.counts[v] == 2
+    assert two.mu_hat[v] == pytest.approx(obs.mean(), rel=0, abs=1e-15)
+    assert one.mu_hat[1 - v] == two.mu_hat[1 - v] == 0.0  # never visited
 
 
 def test_step_frequency_recursion_arithmetic():
-    # m=2 at n=2 with counts (1,1), x=(1/2,1/2); the sampled node is forced to
-    # be 1 by giving node 2 zero weight and eps=0 -> counts (2,1), x = S/3
-    g = graphs.make_complete(2)
-    cfg = ScheduleConfig(c_mode="constant", c_const=0.0, epsilon0=1e-12,
-                         alpha_mode="fixed", T0=1.0)
-    rng = walk.WalkRng(1)
-    st = _state(g, [0.5, 0.5], [1.0, 0.0], current=2, n=2, eps=0.0)
-    rm = walk.RewardModel(mu=np.array([1.0, 1.0]), noise_std=0.0)
-    st = walk.step(st, g, rm, cfg, rng)
-    assert st.current == 0
-    assert np.array_equal(st.counts, [2, 1])
-    assert np.array_equal(st.x, [2 / 3, 1 / 3])
-    assert st.n == 3
+    # the recorded x follows x(n+1) = x(n) + (I[next] - x(n)) / (n+1) from
+    # the uniform x(0): x(1) is the indicator of the first node entered
+    g = graphs.make_linear(4)
+    rm = walk.RewardModel(mu=np.array([2, 0.25, 0.5, 1.0]), noise_std=0.2)
+    cfg = ScheduleConfig(c_mode="recursion_example", alpha_mode="cooled",
+                         burn_in=5, cool_scale=2.0)
+    traj = walk.run(g, rm, cfg, 800, seed=7)
+    x = np.full(g.m, 0.25)
+    for n in range(800):
+        x = x + (np.eye(g.m)[traj.nodes[n + 1]] - x) / (n + 1)
+        assert np.allclose(traj.xs[n + 1], x, rtol=0, atol=1e-13)
+    assert np.array_equal(traj.xs[1], np.eye(g.m)[traj.nodes[1]])
 
 
 def test_run_is_deterministic_per_seed():
@@ -230,25 +234,6 @@ def test_a_run_draws_one_uniform_and_one_normal_per_step(monkeypatch):
                    record_stride=4097)
     for sizes in drawn.values():
         assert sorted(sizes) == [1, 1, walk._BLOCK, walk._BLOCK]
-
-
-def test_stepwise_loop_matches_run():
-    g = graphs.make_linear(4)
-    rm = walk.RewardModel(mu=np.array([2, 0.25, 0.5, 1.0]), noise_std=0.2)
-    cfg = ScheduleConfig(c_mode="recursion_example", alpha_mode="cooled",
-                         burn_in=5, cool_scale=2.0)
-    rng = walk.WalkRng(7)
-    start = int(rng.init.integers(0, g.m)) + 1
-    st = walk.WalkState.initial(g, start, schedules.initial_state(cfg))
-    for _ in range(800):
-        st = walk.step(st, g, rm, cfg, rng)
-    traj = walk.run(g, rm, cfg, 800, seed=7)
-    fin = traj.final_state
-    assert st.current == fin.current
-    assert np.array_equal(st.x, fin.x)
-    assert np.array_equal(st.counts, fin.counts)
-    assert np.array_equal(st.mu_hat, fin.mu_hat)
-    assert st.sched == fin.sched
 
 
 def test_replay_frequency_and_mean_recursions():
@@ -516,59 +501,51 @@ DIFFERENTIAL_GRAPHS = UNEQUAL_DEGREE_GRAPHS + [graphs.make_two_cliques(2, 8),
                                                graphs.make_star(200, 1)]
 
 
-def test_slot_batches_match_stepwise_loops_on_unequal_degrees():
+def test_compiled_and_numpy_loops_agree_on_unequal_degrees(monkeypatch):
     # 20 seeds on each of five graphs: 100 seeds per algorithm, each batch
-    # at stride 1 and at stride 7 against the numpy stepwise loop, through
-    # the compiled row kernels wherever a C compiler exists; every
-    # algorithm's final state (counts, estimates, schedule) is compared too
-    assert walk.engine_name() == "c" or shutil.which("cc") is None
+    # at stride 1 and at stride 7 through the compiled row kernels and
+    # through the numpy loop; every algorithm's final state (counts,
+    # estimates, schedule) is compared too, the schedule with its formula
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    assert walk.engine_name() == "c"
     n_steps = 300
     cfg = ScheduleConfig(c_mode="explicit_log", alpha_mode="cooled",
                          burn_in=10, cool_scale=1.6)
     sa_cfg, gr_cfg = baselines.SAConfig(), baselines.GreedyConfig()
+    sched = schedules.initial_state(cfg)
+    for _ in range(n_steps):
+        sched = schedules.advance(sched, cfg)
+    finals = [sched,  # T_n = gamma/log(1+n) and eps_n = 1/n, at n = n_steps
+              schedules.ScheduleState(n=n_steps, eps=0.0,
+                                      temp=sa_cfg.gamma / math.log(1 + n_steps)),
+              schedules.ScheduleState(n=n_steps, eps=1 / n_steps, temp=math.inf)]
+    runs = []  # (stride, final schedule, run)
     for k, g in enumerate(DIFFERENTIAL_GRAPHS):
         seeds = range(20 * k + 2, 20 * k + 22)
         mu = np.linspace(0.2, 2.0, g.m)[::-1].copy()
         rm = walk.RewardModel(mu=mu, noise_std=0.5)  # negative estimates occur
-        algos = [
-            (lambda stride: walk.run_batch(g, rm, cfg, n_steps, seeds,
-                                           record_stride=stride),
-             lambda start: walk.WalkState.initial(
-                 g, start, schedules.initial_state(cfg)),
-             lambda st, rng: walk.step(st, g, rm, cfg, rng)),
-            (lambda stride: baselines.run_sa_batch(g, rm, sa_cfg, n_steps,
-                                                   seeds, record_stride=stride),
-             lambda start: baselines.initial_state(g, start),
-             lambda st, rng: baselines.sa_step(st, g, rm, sa_cfg, rng)),
-            (lambda stride: baselines.run_greedy_batch(g, rm, gr_cfg, n_steps,
-                                                       seeds,
-                                                       record_stride=stride),
-             lambda start: baselines.initial_state(g, start),
-             lambda st, rng: baselines.greedy_step(st, g, rm, gr_cfg, rng)),
-        ]
-        for run, initial, advance in algos:
-            batches = [(stride, run(stride)) for stride in (1, 7)]
-            for r, seed in enumerate(seeds):
-                rng = walk.WalkRng(seed)
-                st = initial(int(rng.init.integers(0, g.m)) + 1)
-                nodes = [st.current]
-                counts = [st.counts.copy()]
-                for _ in range(n_steps):
-                    st = advance(st, rng)
-                    nodes.append(st.current)
-                    counts.append(st.counts.copy())
-                for stride, trajs in batches:
-                    traj = trajs[r]
-                    snap = traj.ns
-                    assert np.array_equal(snap, np.unique(
-                        np.r_[0:n_steps:stride, n_steps]))
-                    assert np.array_equal(traj.nodes, np.array(nodes)[snap])
-                    assert np.array_equal(
-                        traj.xs[1:], np.array(counts)[snap[1:]] / snap[1:, None])
-                    fin = traj.final_state
-                    assert np.array_equal(fin.counts, st.counts)
-                    assert np.array_equal(fin.mu_hat, st.mu_hat)
-                    assert fin.sched == st.sched
+        for stride in (1, 7):
+            runs += [(stride, final, functools.partial(
+                        batch, g, rm, algo_cfg, n_steps, seeds,
+                        record_stride=stride))
+                     for batch, algo_cfg, final in zip(
+                         (walk.run_batch, baselines.run_sa_batch,
+                          baselines.run_greedy_batch),
+                         (cfg, sa_cfg, gr_cfg), finals)]
+    compiled = [run() for _, _, run in runs]
+    monkeypatch.setattr(_engine, "load", lambda: None)
+    for (stride, final, run), want in zip(runs, compiled):
+        for traj, c_traj in zip(run(), want):
+            assert np.array_equal(traj.ns, np.unique(
+                np.r_[0:n_steps:stride, n_steps]))
+            for name in ("ns", "nodes", "xs", "eps", "alphas"):
+                assert np.array_equal(getattr(traj, name), getattr(c_traj, name))
+            fin, c_fin = traj.final_state, c_traj.final_state
+            assert np.array_equal(fin.counts, c_fin.counts)
+            assert np.array_equal(fin.mu_hat, c_fin.mu_hat)
+            assert fin.counts.sum() == fin.n == n_steps
+            assert fin.sched == c_fin.sched == final
 
 
 def test_engine_build_and_fallback(monkeypatch, tmp_path):
@@ -689,12 +666,16 @@ def test_dead_row_fallback_is_uniform_on_real_slots():
         assert np.all(p[ids == g.m] == 0.0)
         assert np.allclose(p, unif, rtol=0, atol=1e-15)
         rm = walk.RewardModel(mu=np.ones(g.m))
-        # constant mode keeps eps(0) = 1e-9 (explicit_log starts at 1)
+        # constant mode keeps eps(0) = 1e-9 (explicit_log starts at 1); the
+        # engine's first move is the inverse-CDF draw of each seed's first
+        # selection uniform u from the uniform row on N(start): slot u*|N|
         cfg = ScheduleConfig(c_mode="constant", epsilon0=1e-9)
+        us = [walk.WalkRng(s).select.random() for s in range(40)]
         for start in range(1, g.m + 1):
             trajs = walk.run_batch(g, rm, cfg, 1, range(40), start=start)
-            moved = {int(t.nodes[1]) for t in trajs}
-            assert moved <= set(g.nbrs[start - 1])
+            nb = g.nbrs[start - 1]
+            assert [t.nodes[1] for t in trajs] == [nb[int(u * len(nb))]
+                                                   for u in us]
             assert all(t.final_state.counts.sum() == 1 for t in trajs)
 
 
@@ -769,9 +750,6 @@ def test_compiled_tail_fallback_matches_numpy(monkeypatch):
 def test_greedy_argmax_never_picks_a_padding_slot():
     # padding reads estimate 0, above every real neighbor's negative estimate
     g = graphs.make_star(9, 1)
-    cfg = baselines.GreedyConfig(eps_mode="constant", eps_value=0.0)
-    rm = walk.RewardModel(mu=np.ones(g.m), noise_std=0.0)
-    st = baselines.initial_state(g, 5)
-    st.mu_hat = -np.arange(1.0, g.m + 1)  # node 1 (the hub) is the best
-    st = baselines.greedy_step(st, g, rm, cfg, walk.WalkRng(0))
-    assert st.current == 0
+    nb, unif, mu_hat = slot_rows(g, 5, -np.arange(1.0, g.m + 1))
+    p = walk._greedy_slots(mu_hat, unif, 0.0)[0]
+    assert nb[p.argmax()] == 0 and p.max() == 1.0  # node 1, the hub
