@@ -1,7 +1,8 @@
 /* Row kernels of graphchoice's batched engine: one call runs a block of steps
  * for every row (seed) of a batch. A second entry, gc_rk4_window, runs one
- * RK4 window of the rest-point solver, and a third, gc_format_rows, writes
- * the rows of trajectory.csv (see the end of the file).
+ * RK4 window of the rest-point solver, a third, gc_format_rows, writes the
+ * rows of trajectory.csv, and a fourth, gc_schedule, steps the eps and T
+ * schedules (both at the end of the file).
  *
  *     cc -O2 -ffp-contract=off -shared -fPIC -o engine.so _engine.c -lm
  *
@@ -53,6 +54,12 @@
  *  numpy's power may differ from libm's pow in the last bit, and its dot
  *  and matmul may add in another order (BLAS), so the two loops agree to
  *  the ulp, not bit for bit.
+ *
+ * gc_schedule repeats schedules.advance (step_epsilon, explicit_log_eps,
+ * default_c, _cooling_b, step_temperature) operation for operation, and
+ * agrees with it bit for bit: CPython's math.log of an int below 2^53 is
+ * libm's log of that double, each operation rounds once, and Python's
+ * min(a, b) and max(a, b) are b < a ? b : a and b > a ? b : a.
  */
 #include <math.h>
 #include <stdint.h>
@@ -471,4 +478,36 @@ int64_t gc_format_rows(int64_t n_rows, int64_t m, const int64_t *ns,
         *p++ = '\n';
     }
     return p - out;
+}
+
+enum { EXPLICIT_LOG = 0, RECURSION_EXAMPLE = 1, CONSTANT = 2 };
+
+/* The schedule at n0 <= n < n1 into eps and temp (index n - n0), stepped
+ * from the (eps, temp) at n0 in state, which is left at n1. */
+void gc_schedule(int32_t c_mode, double c_const, int64_t hold,
+                 double eps_floor, int64_t cool_from, double cool_scale,
+                 double b_max, int64_t n0, int64_t n1, double *state,
+                 double *eps, double *temp)
+{
+    double e = state[0], T = state[1];
+    for (int64_t n = n0; n < n1; n++) {
+        eps[n - n0] = e;
+        temp[n - n0] = T;
+        double nxt = e, b = 0.0, k = (double)(n - hold + 1);
+        if (c_mode == EXPLICIT_LOG) {  /* explicit_log_eps(n + 1) */
+            nxt = 1.0 / log((double)(n + 2));
+            nxt = nxt < 1.0 ? nxt : 1.0;
+        } else if (n > hold) {  /* c_const or default_c(n - hold) */
+            nxt = (1.0 - (c_mode == CONSTANT ? c_const
+                          : 1.0 / (1.0 + k * log(k)))) * e;
+        }
+        e = eps_floor > nxt ? eps_floor : nxt;
+        if (n >= cool_from) {  /* _cooling_b */
+            b = cool_scale / ((double)n * log((double)n));
+            b = b < b_max ? b : b_max;
+        }
+        T = (1.0 - b) * T;
+    }
+    state[0] = e;
+    state[1] = T;
 }

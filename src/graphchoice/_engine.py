@@ -1,14 +1,14 @@
-"""Build, load and call the compiled row kernels and RK4 window of `_engine.c`.
+"""Build and load `_engine.c`, and call its row kernels and RK4 window.
 
 The library is built on first use, never at import: `cc -O2
 -ffp-contract=off -shared -fPIC ... -lm` into `$XDG_CACHE_HOME/graphchoice`
 (default `~/.cache/graphchoice`), under a name keyed by the sha256 of the
 source and the flags, and renamed into place atomically so that concurrent
 first runs never load a partial file. Where no compiler or cache directory
-is usable, `load` returns None and the engine and the rest-point solver run
-their numpy loops and `Trajectory.to_csv` its f-string rows. `walk` and
-`analysis` import this module at the first engine call or RK4 window, not
-at import; `_writer` calls its CSV row writer, `gc_format_rows`.
+is usable, `load` returns None: the engine and the rest-point solver run
+their numpy loops, `Trajectory.to_csv` its f-string rows and `schedules`
+steps `advance`. `walk`, `analysis` and `schedules` import this module at
+first use, not at import; `_writer` and `schedules` call their functions.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ SOURCE = Path(__file__).with_name("_engine.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 KINDS = {"reinforced": 0, "sa": 1, "greedy": 2}  # the C source's enums
 DYNAMICS = {"replicator": 0, "scaled": 1}
+C_MODES = {"explicit_log": 0, "recursion_example": 1, "constant": 2}
 
 
 def cache_dir() -> Path:
@@ -77,6 +78,10 @@ def load():
                                    ptr, ptr, ptr,       # eps, alpha, xs
                                    ptr, i64]            # out, its bytes
     lib.gc_format_rows.restype = i64
+    lib.gc_schedule.argtypes = [i32, f64, i64, f64,  # c_mode, c_const, hold, floor
+                                i64, f64, f64, i64,  # cool_from, scale, b_max, n0
+                                i64, ptr, ptr, ptr]  # n1, state, eps, temp
+    lib.gc_schedule.restype = None
     return lib
 
 

@@ -232,13 +232,13 @@ def save_graph(g: Graph, path) -> None:
         fh.write("\n")
 
 
-def _integral(value, what: str, path) -> int:
+def _integral(value, what: str) -> int:
     """An integral JSON number (4 or 4.0); strings, booleans and fractions
     are rejected, not truncated."""
     if isinstance(value, bool) or not (
             isinstance(value, int)
             or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{path}: {what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -252,12 +252,12 @@ def load_graph(path, repair: bool = True) -> tuple[Graph, list[str]]:
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "m" not in doc or "edges" not in doc:
-        raise ValueError(f"{path}: expected a JSON object with 'm' and 'edges'")
-    m = _integral(doc["m"], "m", path)
+        raise ValueError("expected a JSON object with 'm' and 'edges'")
+    m = _integral(doc["m"], "m")
     if not isinstance(doc["edges"], list) or not all(
             isinstance(e, list) and len(e) == 2 for e in doc["edges"]):
-        raise ValueError(f"{path}: edges must be a list of [i, j] pairs")
-    edges = [(_integral(i, "edge end", path), _integral(j, "edge end", path))
+        raise ValueError("edges must be a list of [i, j] pairs")
+    edges = [(_integral(i, "edge end"), _integral(j, "edge end"))
              for i, j in doc["edges"]]
 
     raw = from_edges(m, edges, repair=False)

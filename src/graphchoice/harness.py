@@ -161,7 +161,8 @@ def _owned(what: str, build, *args, **kwargs):
     try:
         return build(*args, **kwargs)
     except (OSError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what}: {exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc  # `what` has the path
+        raise ConfigError(f"bad {what}: {reason}") from exc
 
 
 def parse_config(doc: dict) -> ExperimentConfig:

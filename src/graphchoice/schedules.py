@@ -15,7 +15,8 @@ starts at n = 1: c(0) would equal 1 and annihilate eps, and the cooling
 divisor n*log(n) vanishes below n = 2, so step 0 (and step 1 for cooling)
 leave the values unchanged.
 
-All functions are pure; ScheduleState is plain data.
+`advance` is the one definition of both sequences; `schedule_chunks` serves
+its values in blocks, from a line-for-line C copy where the library loads.
 """
 from __future__ import annotations
 
@@ -173,68 +174,34 @@ def advance(state: ScheduleState, cfg: ScheduleConfig) -> ScheduleState:
                          temp=step_temperature(state, cfg))
 
 
-def exact_log(lo: int, hi: int) -> np.ndarray:
-    """math.log(k) for the integers k = lo..hi-1.
-
-    Not np.log: it differs from math.log, which the scalar functions use, in
-    the last bit at some integers (9170, 19143 and 94869 below 1e5).
-    """
-    return np.fromiter(map(math.log, range(lo, hi)), float, hi - lo)
-
-
-def _products(carry: float, j0: int, j1: int, first: int, rate) -> np.ndarray:
-    """carry times the running products of the factors 1 - rate(s, j1) of the
-    steps j = s..j1-1, s = max(j0, first); the steps before s have factor 1."""
-    f = np.ones(j1 - j0)
-    s = min(max(j0, first), j1)
-    f[s - j0:] = 1.0 - rate(s, j1)
-    f[0] *= carry
-    return np.multiply.accumulate(f)  # in order, as the scalar loop multiplies
-
-
 def schedule_chunks(cfg: ScheduleConfig, n_max: int, chunk: int = 1 << 16):
-    """Yield (ns, eps, temp) blocks covering n = 0..n_max in order.
-
-    The one schedule source, bit-identical to stepping `advance` from
-    `initial_state`. temp, and eps in the recursive modes, are running
-    products of the per-step factors of `step_temperature` and
-    `step_epsilon`, carried from block to block. The eps floor is applied
-    after the product. That is exact because eps never increases, so once
-    clamped the recurrence stays at the floor. eps(0) is not clamped, as in
-    `advance`.
-    """
-    klogk = lambda k0, k1: np.arange(k0, k1) * exact_log(k0, k1)
-    hold = cfg.eps_hold
-    if cfg.c_mode == "constant":
-        eps_rate = lambda s, e: np.full(e - s, cfg.c_const)
-    else:  # default_c(j - hold)
-        eps_rate = lambda s, e: 1.0 / (1.0 + klogk(s - hold + 1, e - hold + 1))
-    cool_from = max(2, cfg.burn_in) if cfg.alpha_mode == "cooled" else n_max
-    cool_rate = lambda s, e: np.minimum(_COOL_B_MAX, cfg.cool_scale / klogk(s, e))
-    st = initial_state(cfg)
-    raw, temp = [st.eps], [st.temp]  # the unclamped products at n = lo - 1
+    """Yield (ns, eps, temp) blocks covering n = 0..n_max in order: `advance`
+    stepped from `initial_state`, or where the library loads its line-for-line
+    copy `gc_schedule` in `_engine.c`, each block starting from the (eps,
+    temp) that the last one left."""
+    from . import _engine  # at the first schedule: importing stays lean
+    lib, st = _engine.load(), initial_state(cfg)
+    state = np.array([st.eps, st.temp], dtype=float)
+    cool_from = max(2, cfg.burn_in) if cfg.alpha_mode == "cooled" else n_max + 1
+    # past n_max a hold or burn-in acts as one at n_max, which fits int64
+    hold, cool_from = min(cfg.eps_hold, n_max), min(cool_from, n_max + 1)
     for lo in range(0, n_max + 1, chunk):
         hi = min(lo + chunk, n_max + 1)
-        # steps lo-1..hi-2 lead to n = lo..hi-1; "step -1" has factor 1
-        temp = _products(temp[-1], lo - 1, hi - 1, cool_from, cool_rate)
-        if cfg.c_mode == "explicit_log":
-            with np.errstate(divide="ignore"):  # n = 0: 1/log(1) = inf -> 1
-                raw = np.minimum(1.0, 1.0 / exact_log(lo + 1, hi + 1))
+        eps, temp = np.empty(hi - lo), np.empty(hi - lo)
+        if lib is None:
+            for k in range(hi - lo):
+                eps[k], temp[k], st = st.eps, st.temp, advance(st, cfg)
         else:
-            raw = _products(raw[-1], lo - 1, hi - 1, hold + 1, eps_rate)
-        eps = np.maximum(raw, cfg.eps_floor)
-        if lo == 0:
-            eps[0] = raw[0]
+            lib.gc_schedule(_engine.C_MODES[cfg.c_mode], cfg.c_const, hold,
+                            cfg.eps_floor, cool_from, cfg.cool_scale,
+                            _COOL_B_MAX, lo, hi, state.ctypes.data,
+                            eps.ctypes.data, temp.ctypes.data)
         yield np.arange(lo, hi), eps, temp
 
 
 def schedule_arrays(cfg: ScheduleConfig, n_steps: int):
-    """(eps, alpha, temp) for n = 0..n_steps: `schedule_chunks` in one block.
-
-    temp is the multiplicatively maintained primary and alpha its
-    reciprocal, as in `advance`, so the engines index these arrays and still
-    agree bit for bit with stepwise updates.
-    """
+    """(eps, alpha, temp) for n = 0..n_steps: `schedule_chunks` in one
+    block, with alpha = 1/temp as `ScheduleState` derives it."""
     ((_, eps, temp),) = schedule_chunks(cfg, n_steps, chunk=n_steps + 1)
     return eps, 1.0 / temp, temp
 

@@ -151,6 +151,21 @@ def test_graph_file_needs_integral_m_and_integer_pairs(tmp_path, capsys, doc):
     assert "OK" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('{"m": 4.9, "edges": [[1, 2]]}', "m must be an integer, got 4.9"),
+    ('{"m": 4, ', "Expecting property name enclosed in double quotes: "
+                 "line 1 column 10 (char 9)"),
+    (None, "No such file or directory")],
+    ids=["m-fraction", "malformed-json", "missing-file"])
+def test_graph_file_error_names_the_file_once(tmp_path, capsys, text, reason):
+    path = tmp_path / "g.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["validate", "--graph", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "config", "message": f"bad graph file {str(path)!r}: {reason}"}
+
+
 def test_graph_file_takes_integral_floats(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"m": 4.0, "edges": [[1, 2.0], [2, 3], [3, 4]]}))

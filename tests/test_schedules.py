@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from graphchoice import harness, schedules
+from graphchoice import _engine, harness, schedules
 from graphchoice.schedules import ScheduleConfig, ScheduleState
 
 
@@ -144,8 +144,14 @@ def test_schedule_arrays_match_stepwise_advance():
             assert np.array_equal(got, want)
 
 
-def test_epsilon_chunks_match_scalar_recursion():
-    # small blocks carry the running products across many block boundaries
+@pytest.mark.parametrize("path", ["compiled", "stepped"])
+def test_epsilon_chunks_match_scalar_recursion(monkeypatch, path):
+    # small blocks carry (eps, temp) across many block boundaries, through
+    # gc_schedule and through the scalar fallback where no library loads
+    if path == "compiled" and _engine.load() is None:
+        pytest.skip("no C compiler")
+    if path == "stepped":
+        monkeypatch.setattr(_engine, "load", lambda: None)
     for cfg in (ScheduleConfig(c_mode="recursion_example", epsilon0=0.5,
                                eps_hold=64, eps_floor=0.01),
                 ScheduleConfig(c_mode="constant", c_const=0.2, eps_hold=10,
@@ -153,7 +159,19 @@ def test_epsilon_chunks_match_scalar_recursion():
                 # eps(0) below the floor: advance clamps only from n = 1 on
                 ScheduleConfig(c_mode="constant", c_const=0.2, epsilon0=0.01,
                                eps_floor=0.02),
-                ScheduleConfig(c_mode="explicit_log")):
+                ScheduleConfig(c_mode="explicit_log"),
+                ScheduleConfig(c_mode="recursion_example", eps_hold=30,
+                               eps_floor=0.05, alpha_mode="cooled",
+                               cool_scale=5),
+                ScheduleConfig(c_mode="constant", c_const=0.01, eps_hold=3,
+                               eps_floor=1e-3),
+                ScheduleConfig(c_mode="recursion_example",
+                               alpha_mode="cooled", burn_in=1),
+                # a hold and a burn-in past the horizon and past int64,
+                # which ctypes would silently truncate to 5
+                ScheduleConfig(c_mode="constant", c_const=0.2,
+                               eps_hold=2**64 + 5, alpha_mode="cooled",
+                               burn_in=2**64 + 5)):
         blocks = list(schedules.schedule_chunks(cfg, 300, chunk=37))
         ref = stepped(cfg, 300)
         assert np.array_equal(np.concatenate([b[0] for b in blocks]),

@@ -579,18 +579,19 @@ def test_compiled_signature_matches_its_argtypes():
     source = _engine.SOURCE.read_text()
     exported = re.findall(r"^(\w+) (gc_\w+)\(([^)]*)\)", source, re.M)
     assert sorted(name for _, name, _ in exported) == [
-        "gc_format_rows", "gc_rk4_window", "gc_run_block"]
+        "gc_format_rows", "gc_rk4_window", "gc_run_block", "gc_schedule"]
     for restype, name, params in exported:
         declared = [ctypes.c_void_p if "*" in p else scalar[p.split()[0]]
                     for p in params.split(",")]
         assert declared == list(getattr(lib, name).argtypes), name
         assert getattr(lib, name).restype is scalar[restype], name
-    # the integer codes passed for kind and dynamics, and the kinds that the
-    # engine gives a schedule lag
+    # the integer codes passed for kind, dynamics and c_mode, and the kinds
+    # that the engine gives a schedule lag
     enums = [{k.lower(): int(v) for k, v in re.findall(r"(\w+) = (\d+)", body)}
              for body in re.findall(r"^enum \{([^}]*)\};", source, re.M)]
-    assert enums == [_engine.KINDS, _engine.DYNAMICS]
+    assert enums == [_engine.KINDS, _engine.DYNAMICS, _engine.C_MODES]
     assert walk._LAG.keys() == _engine.KINDS.keys()
+    assert _engine.C_MODES.keys() == ScheduleConfig.EPS_READS.keys()
 
 
 def test_engine_source_compiles_without_warnings():
