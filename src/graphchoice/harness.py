@@ -15,16 +15,17 @@ Everything is deterministic given (config, seeds): rerunning produces
 byte-identical files. Each file is written under a temporary name beside it
 and renamed into place, so an interrupted run leaves the previous file whole.
 
-`run_experiment` writes in this order. Worker threads, never more than there
-are CPUs and one per four seeds, make the seed directories and write each
-`meta.json`; the calling thread writes each `trajectory.csv` as soon as its
-seed's directory exists, and then `summary.json` from the files on disk.
-A run of fewer than four seeds starts no thread: the calling thread makes
-each directory and meta.json just before the trajectory. A failed write
-stops the run: the directory and meta.json tasks not yet started are
-cancelled, the error is raised, and no `summary.json` is written. Each file
-left behind is whole, the new one or the previous one, and no temporary
-file remains.
+`run_experiment` writes in this order. The process's one worker pool
+(`_writer.pool`, never more threads than there are CPUs, for any number of
+seeds) makes the seed directories and writes each `meta.json`; the calling
+thread writes each `trajectory.csv`, in seed order, as soon as its seed's
+directory exists, making the directory itself when no worker has started
+it yet, and then `summary.json` from the files on disk. The same pool
+formats the blocks of a long trajectory (`_writer.write_rows`). A failed
+write stops the run: the directory and meta.json tasks not yet started are
+cancelled, those running are waited for, the error is raised, and no
+`summary.json` is written. Each file left behind is whole, the new one or
+the previous one, and no temporary file remains.
 """
 from __future__ import annotations
 
@@ -47,7 +48,6 @@ _TOP_KEYS = {"schema", "name", "graph", "mu", "noise_std", "algorithm",
              "schedule", "greedy_eps", "n_steps", "seeds", "record_stride",
              "start", "acceptance", "out_dir"}
 _ACCEPT_KEYS = {"nodes", "min_fraction", "min_seeds"}
-_SEEDS_PER_WORKER = 4  # seeds per run_experiment worker thread, at least
 
 
 class ConfigError(ValueError):
@@ -394,23 +394,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str,
                                {**meta_common, "seed": seed})
         return path
 
-    # Worker threads make the seed directories and write meta.json while
-    # this thread writes the trajectories: file creates release the GIL.
-    # to_csv stays here, on the caller's thread. A worker costs about as
-    # much to start as a few seeds' directories, so each gets several seeds;
-    # with fewer, this thread makes each directory before its trajectory.
-    from concurrent.futures import ThreadPoolExecutor  # importing stays lean
+    # The pool's workers make the seed directories and write meta.json
+    # while this thread writes the trajectories: file creates release the
+    # GIL. to_csv stays here, on the caller's thread, in seed order.
+    from . import _writer  # at the first write: importing stays lean
     os.makedirs(exp_dir, exist_ok=True)
-    workers = min(os.cpu_count() or 1, len(seeds) // _SEEDS_PER_WORKER)
-    pool = ThreadPoolExecutor(workers) if workers else None
+    pool, _ = _writer.pool()
+    dirs = [pool.submit(seed_dir, seed) for seed in seeds]
     try:
-        dirs = (map if pool is None else pool.map)(seed_dir, seeds)
-        for traj, path in zip(trajs, dirs):
+        for traj, seed, future in zip(trajs, seeds, dirs):
+            path = _writer.run_here_or_wait(future, seed_dir, seed)
             _replace_atomically(os.path.join(path, "trajectory.csv"),
                                 traj.to_csv)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    finally:  # after a failure, the tasks not yet started never run
+        _writer.cancel_and_wait(dirs)
     summary = summarize_from_disk(cfg, exp_dir)
     if seed_override is None:
         _write_json_atomically(os.path.join(exp_dir, "summary.json"), summary)

@@ -1,16 +1,17 @@
 import json
 import os
 import re
+import signal
 import sys
 import threading
-from concurrent import futures
+import time
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphchoice import cli, graphs, harness, walk
+from graphchoice import _writer, cli, graphs, harness, walk
 from graphchoice.harness import ConfigError
 from graphchoice.baselines import GreedyConfig
 from graphchoice.schedules import ScheduleConfig
@@ -295,8 +296,7 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch):
 
 
 def seeds_config(count, **overrides):
-    """mini_config on seeds 5.. 5+count-1: from four seeds on, run_experiment
-    makes the seed directories on worker threads."""
+    """mini_config on seeds 5.. 5+count-1."""
     return harness.parse_config(mini_config(seeds={"count": count, "base": 5},
                                             **overrides))
 
@@ -319,34 +319,41 @@ def test_trajectories_are_written_on_the_calling_thread(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("cpus", [1, None, 2, 64])
 @pytest.mark.parametrize("count", [3, 4, 13])
-def test_worker_threads_never_outnumber_the_cpus(tmp_path, monkeypatch, cpus,
-                                                 count):
-    # one worker per four seeds at most, and none for fewer than four
-    workers, pool = [], futures.ThreadPoolExecutor
+def test_worker_threads_never_outnumber_the_cpus(tmp_path, monkeypatch,
+                                                 fresh_pool, cpus, count):
+    # one pool for the process, of one thread per CPU whatever the seed
+    # count, made at the first run and used again by the next
+    fresh_pool(cpus)
+    sizes, make = [], _writer.ThreadPoolExecutor
 
-    def counted(max_workers):
-        workers.append(max_workers)
-        return pool(max_workers)
+    def counted(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return make(max_workers, **kwargs)
 
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", counted)
-    summary = harness.run_experiment(seeds_config(count), str(tmp_path))
-    assert workers == [min(cpus or 1, count // 4)] * (count >= 4)
-    assert sorted(summary["final_x"], key=int) == [str(5 + k) for k in range(count)]
+    monkeypatch.setattr(_writer, "ThreadPoolExecutor", counted)
+    for run in ("first", "second"):
+        summary = harness.run_experiment(seeds_config(count),
+                                         str(tmp_path / run))
+        assert sorted(summary["final_x"], key=int) == [str(5 + k)
+                                                       for k in range(count)]
+    assert sizes == [cpus or 1] and _writer.pool()[1] == (cpus or 1)
+    workers = [t for t in threading.enumerate()
+               if t.name.startswith("graphchoice")]
+    assert 0 < len(workers) <= (cpus or 1)
 
 
-def test_many_worker_threads_write_the_same_files(tmp_path, monkeypatch):
+def test_many_worker_threads_write_the_same_files(tmp_path, fresh_pool):
     # more workers than cores, switching threads as often as the interpreter
-    # allows: every file equals the one-thread run's, byte for byte
+    # allows: every file equals the one-worker run's, byte for byte
     cfg = seeds_config(24, n_steps=60, record_stride=30)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    fresh_pool(64)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         harness.run_experiment(cfg, str(tmp_path / "many"))
     finally:
         sys.setswitchinterval(interval)
-    monkeypatch.setattr(harness, "_SEEDS_PER_WORKER", 25)  # starts no thread
+    fresh_pool(1)
     harness.run_experiment(cfg, str(tmp_path / "one"))
     one = sorted(p.relative_to(tmp_path / "one")
                  for p in (tmp_path / "one").rglob("*") if p.is_file())
@@ -355,6 +362,55 @@ def test_many_worker_threads_write_the_same_files(tmp_path, monkeypatch):
         assert ((tmp_path / "many" / rel).read_bytes()
                 == (tmp_path / "one" / rel).read_bytes())
     assert _no_temporary_files(tmp_path)
+
+
+def _files(root):
+    return {p.relative_to(root): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_runs_on_a_pool_of_its_own(tmp_path):
+    # the parent's pool has threads when it forks; the child has none of
+    # them, and makes its own pool at its first run
+    harness.run_experiment(seeds_config(3), str(tmp_path / "parent"))
+    parent_pool = _writer.pool()[0]
+    pid = os.fork()
+    if pid == 0:  # the child: its exit status is the test's verdict
+        status = 1
+        try:
+            fresh = _writer._pool is None
+            harness.run_experiment(seeds_config(3), str(tmp_path / "child"))
+            status = 0 if fresh and _writer.pool()[0] is not parent_pool else 2
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while not (done := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's run did not end within 60 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    assert _files(tmp_path / "child") == _files(tmp_path / "parent")
+
+
+def test_a_busy_pool_never_holds_up_a_run(tmp_path, fresh_pool):
+    # every worker is busy with a task that outlasts the run: the calling
+    # thread makes each seed directory and formats each block itself, and
+    # never waits for a worker to take a task it cancelled off the queue
+    cfg = seeds_config(3, n_steps=4000, record_stride=1)  # three blocks each
+    fresh_pool(2)
+    executor, workers = _writer.pool()
+    release = threading.Event()
+    busy = [executor.submit(release.wait, 20) for _ in range(workers)]
+    try:
+        harness.run_experiment(cfg, str(tmp_path / "busy"))
+        assert not any(future.done() for future in busy)
+    finally:
+        release.set()
+    harness.run_experiment(cfg, str(tmp_path / "free"))
+    assert _files(tmp_path / "busy") == _files(tmp_path / "free")
 
 
 def _no_temporary_files(root):

@@ -6,6 +6,8 @@ import math
 import re
 import shutil
 import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -417,15 +419,17 @@ def _reference_csv(traj) -> bytes:
 
 
 def _count_blocks(monkeypatch):
-    """The return value of every gc_format_rows call from here on."""
+    """The return value of every gc_format_rows call from here on, by the
+    address of its block's first x: in row order within a file once sorted,
+    whichever thread formats each block and in whatever order they end."""
     lib = _engine.load()
     if lib is None:
         pytest.skip("no compiled library")
-    fn, sizes = lib.gc_format_rows, []
+    fn, sizes = lib.gc_format_rows, {}
 
     def counted(*args):
-        sizes.append(fn(*args))
-        return sizes[-1]
+        sizes[args[6]] = fn(*args)
+        return sizes[args[6]]
     monkeypatch.setattr(lib, "gc_format_rows", counted)
     return sizes
 
@@ -439,7 +443,7 @@ def test_both_writers_write_the_same_bytes(monkeypatch, tmp_path):
     sizes = _count_blocks(monkeypatch)
     traj.to_csv(tmp_path / "c.csv")
     converted.to_csv(tmp_path / "converted.csv")
-    assert len(sizes) > 2 and min(sizes) > 0
+    assert len(sizes) > 2 and min(sizes.values()) > 0
     monkeypatch.setattr(_engine, "load", lambda: None)
     traj.to_csv(tmp_path / "py.csv")
     for name in ("c", "converted", "py"):
@@ -463,8 +467,49 @@ def test_a_refused_block_alone_falls_back(monkeypatch, tmp_path, value):
     traj.xs[2000, 1] = value
     sizes = _count_blocks(monkeypatch)
     traj.to_csv(tmp_path / "t.csv")
-    assert len(sizes) > 2 and sizes.count(-1) == 1 and sizes[0] > 0
+    in_rows = [sizes[k] for k in sorted(sizes)]
+    assert len(in_rows) > 2 and in_rows.count(-1) == 1
+    assert all(size > 0 for size in in_rows if size != -1)
     assert (tmp_path / "t.csv").read_bytes() == _reference_csv(traj)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_pooled_blocks_reach_the_file_in_order(monkeypatch, tmp_path,
+                                               fresh_pool, workers):
+    # five blocks, the middle one refused, formatted on pools of one to four
+    # threads that switch as often as the interpreter allows
+    traj = _long_trajectory(6500)
+    traj.xs[3500, 1] = 1e-300
+    fresh_pool(workers)
+    lib = _engine.load()
+    if lib is None:
+        pytest.skip("no compiled library")
+    fn, lock = lib.gc_format_rows, threading.Lock()
+    running, peak, alive, buffers = [0], [0], [], set()
+
+    def counted(*args):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        alive.append(threading.active_count())
+        buffers.add(args[7])
+        try:
+            return fn(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+    monkeypatch.setattr(lib, "gc_format_rows", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        traj.to_csv(tmp_path / "t.csv")
+    finally:
+        sys.setswitchinterval(interval)
+    assert (tmp_path / "t.csv").read_bytes() == _reference_csv(traj)
+    assert len(alive) == 5  # each block formatted once
+    assert len(buffers) == min(5, 2 * workers)  # two blocks per worker at most
+    assert peak[0] <= workers + 1  # the workers and the calling thread
+    assert max(alive) <= workers + 1
 
 
 def _chorded_path(m, n_chords, seed):
